@@ -252,23 +252,14 @@ def _write_experiment_tables(ns, result, densities: bool) -> None:
             _write_table(out / f"{name}.{ext}", comment, ["bin_center", "mass"], rows, ns.format)
 
 
-def _cmd_simulate(ns) -> int:
+def _cmd_experiment(ns) -> int:
+    """``simulate`` and ``bench``: they differ only in ``ns.densities``."""
     config = _experiment_from_args(ns)
     result = run_monte_carlo(config)
     status = _check_failures(result)
     if status:
         return status
-    _write_experiment_tables(ns, result, densities=True)
-    return 0
-
-
-def _cmd_bench(ns) -> int:
-    config = _experiment_from_args(ns)
-    result = run_monte_carlo(config)
-    status = _check_failures(result)
-    if status:
-        return status
-    _write_experiment_tables(ns, result, densities=False)
+    _write_experiment_tables(ns, result, ns.densities)
     return 0
 
 
@@ -348,11 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one experiment, write tables and densities")
     _add_experiment_flags(p_sim)
     p_sim.add_argument("--bins", type=int, default=DEFAULT_DENSITY_BINS)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_experiment, densities=True)
 
     p_bench = sub.add_parser("bench", help="sweep a sigma x epsilon grid, write tables")
     _add_experiment_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_experiment, densities=False)
 
     p_diag = sub.add_parser("diagnose", help="print a convergence certificate")
     _add_experiment_flags(p_diag, with_grid=False)

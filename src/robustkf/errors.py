@@ -29,6 +29,10 @@ class EmptyInput(RobustKFError):
     """An operation received an empty sample set."""
 
 
+class NonFinite(RobustKFError, ValueError):
+    """An array holds NaN or Inf entries where finite values are required."""
+
+
 class Diverged(RobustKFError):
     """A fixed-point iterate left the space of finite vectors."""
 

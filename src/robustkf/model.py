@@ -191,17 +191,10 @@ def sample_mixture(spec: MixtureNoiseSpec, rng: RandomStream) -> np.ndarray:
 
     Each coordinate consumes exactly three uniforms, in order: one to pick
     the mixture component by cumulative weight, then two for the Box-Muller
-    normal.  A zero-variance component yields its mean exactly.
+    normal.  A zero-variance component yields its mean exactly.  This is
+    `sample_mixture_sequence` with one step.
     """
-    u = rng.uniforms(3 * spec.dim).reshape(spec.dim, 3)
-    out = np.empty(spec.dim)
-    for i, coord in enumerate(spec.components):
-        cum = np.cumsum([w for w, _, _ in coord])
-        idx = min(int(np.searchsorted(cum, u[i, 0], side="right")), len(coord) - 1)
-        _, mu, var = coord[idx]
-        z = np.sqrt(-2.0 * np.log(u[i, 1])) * np.cos(2.0 * np.pi * u[i, 2])
-        out[i] = mu + np.sqrt(var) * z
-    return out
+    return sample_mixture_sequence(spec, 1, rng)[0]
 
 
 def sample_mixture_sequence(

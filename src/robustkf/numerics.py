@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
 
 #: Relative tolerance for symmetry checks.
 SYMMETRY_RTOL = 1e-10
@@ -25,12 +25,12 @@ CHOLESKY_JITTER = 1e-12
 
 
 def require_finite(a: np.ndarray, name: str) -> np.ndarray:
-    """Return ``a`` as a float array, rejecting NaN/Inf entries."""
+    """Return ``a`` as a float array; NaN/Inf entries raise `NonFinite`."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise DimensionMismatch(f"{name}: empty array")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name}: non-finite entries are not admitted")
+        raise NonFinite(f"{name}: non-finite entries are not admitted")
     return a
 
 
@@ -48,19 +48,52 @@ def require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor ``L`` with ``L @ L.T == a``.
+def cholesky_stack(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of one matrix or a stack of matrices.
 
     Parameters
     ----------
-    a : ndarray, shape (n, n)
-        Symmetric positive definite matrix.  Symmetry is enforced up to
-        `SYMMETRY_RTOL`; the factorization runs on the symmetrized matrix.
+    a : ndarray, shape (..., n, n)
+        Symmetric positive definite matrices.  They are neither checked nor
+        symmetrized here: callers validate (`cholesky_lower`) or symmetrize
+        (the batched Monte Carlo engine) first.
 
     Returns
     -------
-    ndarray, shape (n, n)
-        Lower-triangular factor.
+    ndarray, shape (..., n, n)
+        Lower-triangular factors ``L`` with ``L @ L.T == a``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a non-positive pivot persists after one jittered retry.
+
+    Notes
+    -----
+    Covariance round-off can make a PSD matrix indefinite by a few ulps, so
+    a failed factorization is retried once with ``delta_i * I`` added to
+    every matrix ``a_i`` of the stack, where
+    ``delta_i = CHOLESKY_JITTER * max(1, max|a_i|)``.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        delta = CHOLESKY_JITTER * scale[..., None, None]
+        try:
+            return np.linalg.cholesky(a + delta * np.eye(a.shape[-1]))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                "cholesky: non-positive pivot persists after jitter"
+            ) from None
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factor ``L`` with ``L @ L.T == a``.
+
+    Checks symmetry up to `SYMMETRY_RTOL` (`require_symmetric`), then
+    factorizes the symmetrized matrix with `cholesky_stack`, including its
+    jittered retry.
 
     Raises
     ------
@@ -68,24 +101,8 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
         If the input fails the symmetry check.
     NotPositiveDefinite
         If a non-positive pivot persists after one jittered retry.
-
-    Notes
-    -----
-    Covariance round-off can make a PSD matrix indefinite by a few ulps, so
-    a failed factorization is retried once with ``delta * I`` added, where
-    ``delta = CHOLESKY_JITTER * max(1, max|a|)``.
     """
-    a = require_symmetric(a, "cholesky_lower")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        delta = CHOLESKY_JITTER * max(1.0, float(np.max(np.abs(a))))
-        try:
-            return np.linalg.cholesky(a + delta * np.eye(a.shape[0]))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "cholesky_lower: non-positive pivot persists after jitter"
-            ) from None
+    return cholesky_stack(require_symmetric(a, "cholesky_lower"))
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,12 +14,17 @@ substreams: run ``i`` owns ``substream(master_seed, i)``, which is further
 split by role (0: initial estimate perturbation, 1: process noise sequence,
 2: measurement noise sequence).  Identical configs therefore produce
 bit-identical results, and every filter within a run sees the same data.
+A run's data does not depend on how many runs are generated with it:
+`generate_run_data` returns exactly the run's row of the whole experiment.
 
 Two execution engines produce the same numbers: a readable per-step
 ``reference`` engine built directly on the public filter operations, and a
 ``batched`` engine (the default) that advances all runs simultaneously with
-stacked linear algebra.  The batched engine replicates the per-run stop
-rule of the fixed-point solve exactly via an active-run mask.
+stacked linear algebra.  One batched loop serves both filters: the MCKF is
+the KF's predict and Joseph update around a reweighted gain, and the
+per-run stop rule of its fixed-point solve is replicated exactly via an
+active-run mask.  A run whose numbers overflow is marked failed by either
+engine; it does not stop the experiment.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
 from .kf import kf_predict, kf_update
-from .mckf import WEIGHT_FLOOR, KernelConfig, mckf_step
+from .mckf import WEIGHT_FLOOR, _STEP_NORM_GUARD, KernelConfig, gaussian_kernel, mckf_step
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -40,6 +45,7 @@ from .model import (
     sample_mixture_sequence,
     validate_model,
 )
+from .numerics import cholesky_stack
 from .rng import RandomStream, substream_seed
 
 NOISE_CASES = ("gaussian", "impulsive-measurement", "impulsive-both", "none")
@@ -310,50 +316,37 @@ class RunData:
     measurements: np.ndarray
 
 
-def _run_noise(config: ExperimentConfig, model: StateSpaceModel, run: int):
+def _generate(config: ExperimentConfig, model: StateSpaceModel, runs):
+    """Initial estimates, truths and measurements of ``runs``, stacked by run.
+
+    ``F`` and ``H`` are applied with `numpy.einsum`, whose rows do not depend
+    on how many runs are stacked (BLAS ``@`` rows do), so a run's data is a
+    function of the seed and the run index only.
+    """
     q_spec, r_spec = noise_specs(config.noise_case, model.n, model.m)
-    run_seed = substream_seed(config.master_seed, run)
-    init = RandomStream(substream_seed(run_seed, 0))
-    proc = RandomStream(substream_seed(run_seed, 1))
-    meas = RandomStream(substream_seed(run_seed, 2))
-    perturb = math.sqrt(config.init_perturb_var) * init.normals(model.n)
-    q = sample_mixture_sequence(q_spec, config.steps, proc)
-    r = sample_mixture_sequence(r_spec, config.steps, meas)
-    return perturb, q, r
+    x0 = config.resolve_x0()
+    x0_hats = np.empty((len(runs), model.n))
+    qs = np.empty((len(runs), config.steps, model.n))
+    rs = np.empty((len(runs), config.steps, model.m))
+    for i, run in enumerate(runs):
+        run_seed = substream_seed(config.master_seed, run)
+        init, proc, meas = (RandomStream(substream_seed(run_seed, role)) for role in range(3))
+        x0_hats[i] = x0 + math.sqrt(config.init_perturb_var) * init.normals(model.n)
+        qs[i] = sample_mixture_sequence(q_spec, config.steps, proc)
+        rs[i] = sample_mixture_sequence(r_spec, config.steps, meas)
+    truths = np.empty_like(qs)
+    x = np.broadcast_to(x0, x0_hats.shape)
+    for k in range(config.steps):
+        x = np.einsum("ij,rj->ri", model.F, x) + qs[:, k]
+        truths[:, k] = x
+    ys = np.einsum("ij,rkj->rki", model.H, truths) + rs
+    return x0_hats, truths, ys
 
 
 def generate_run_data(config: ExperimentConfig, run: int) -> RunData:
     """Deterministic data of one Monte Carlo run (see the module docstring)."""
-    model = config.resolve_model()
-    x0 = config.resolve_x0()
-    perturb, q, r = _run_noise(config, model, run)
-    truths = np.empty((config.steps, model.n))
-    x = x0
-    for k in range(config.steps):
-        x = x @ model.F.T + q[k]
-        truths[k] = x
-    measurements = truths @ model.H.T + r
-    return RunData(x0_hat=x0 + perturb, truths=truths, measurements=measurements)
-
-
-def _generate_all(config: ExperimentConfig, model: StateSpaceModel):
-    runs, steps, n, m = config.runs, config.steps, model.n, model.m
-    x0 = config.resolve_x0()
-    x0_hats = np.empty((runs, n))
-    qs = np.empty((runs, steps, n))
-    rs = np.empty((runs, steps, m))
-    for run in range(runs):
-        perturb, q, r = _run_noise(config, model, run)
-        x0_hats[run] = x0 + perturb
-        qs[run] = q
-        rs[run] = r
-    truths = np.empty((runs, steps, n))
-    x = np.broadcast_to(x0, (runs, n)).copy()
-    for k in range(steps):
-        x = x @ model.F.T + qs[:, k]
-        truths[:, k] = x
-    ys = truths @ model.H.T + rs
-    return x0_hats, truths, ys
+    x0_hats, truths, ys = _generate(config, config.resolve_model(), [run])
+    return RunData(x0_hat=x0_hats[0], truths=truths[0], measurements=ys[0])
 
 
 @dataclass
@@ -401,102 +394,82 @@ def _reference_filter_run(fmodel, spec, x0_hat, p0, ys, collect_cov):
     return est, iters, nonconv, covs
 
 
-def _batch_chol(p):
-    p = (p + p.transpose(0, 2, 1)) / 2.0
-    try:
-        return np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        n = p.shape[-1]
-        jitter = 1e-12 * max(1.0, float(np.max(np.abs(p))))
-        return np.linalg.cholesky(p + jitter * np.eye(n))
+def _symmetrize(p):
+    return (p + np.swapaxes(p, -1, -2)) / 2.0
 
 
-def _batched_kf(fmodel, x0_hat, p0, ys, collect_cov):
+def _batch_gain(H, p, r):
+    """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
+    s = _symmetrize(np.einsum("ij,rjk,lk->ril", H, p, H) + r)
+    pht = np.einsum("rij,kj->rik", p, H)
+    return np.linalg.solve(s, pht.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _batched_filter(fmodel, kernel, x0_hat, p0, ys, collect_cov):
+    """Run one filter over all runs at once; ``kernel is None`` is the KF.
+
+    Both filters share the predict step and the Joseph update.  The KF takes
+    the gain of the prior covariances; the MCKF takes the gain of the
+    reweighted covariances ``(P_w, R_w)`` at its last fixed-point iterate,
+    with the per-run stop rule of `fixed_point_iterate` kept by a mask of
+    the runs still iterating.
+    """
     runs, steps, _ = ys.shape
     n, m = fmodel.n, fmodel.m
     F, H, Q, R = fmodel.F, fmodel.H, fmodel.Q, fmodel.R
     eye = np.eye(n)
-    x = x0_hat.copy()
-    p = np.broadcast_to(p0, (runs, n, n)).copy()
-    est = np.empty((runs, steps, n))
-    covs = np.empty((runs, steps, n, n)) if collect_cov else None
-    for k in range(steps):
-        x = x @ F.T
-        p = np.einsum("ij,rjk,lk->ril", F, p, F) + Q
-        s = np.einsum("ij,rjk,lk->ril", H, p, H) + R
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        pht = np.einsum("rij,kj->rik", p, H)
-        gain = np.linalg.solve(s, pht.transpose(0, 2, 1)).transpose(0, 2, 1)
-        x = x + np.einsum("rij,rj->ri", gain, ys[:, k] - x @ H.T)
-        ikh = eye - np.einsum("rij,jk->rik", gain, H)
-        p = np.einsum("rij,rjk,rlk->ril", ikh, p, ikh) + np.einsum(
-            "rij,jk,rlk->ril", gain, R, gain
-        )
-        p = (p + p.transpose(0, 2, 1)) / 2.0
-        est[:, k] = x
-        if collect_cov:
-            covs[:, k] = p
-    iters = np.zeros((runs, steps), dtype=np.int32)
-    return est, iters, np.zeros(runs, dtype=np.int32), covs
-
-
-def _batched_mckf(fmodel, kernel, x0_hat, p0, ys, collect_cov):
-    runs, steps, _ = ys.shape
-    n, m = fmodel.n, fmodel.m
-    F, H, Q, R = fmodel.F, fmodel.H, fmodel.Q, fmodel.R
-    eye = np.eye(n)
-    sigma2 = kernel.sigma * kernel.sigma
-    ord_ = 1 if kernel.step_norm == "l1" else 2
-    b_r = np.linalg.cholesky((R + R.T) / 2.0)
-    w_bot = np.linalg.solve(b_r, H)
-    b_r_inv = np.linalg.solve(b_r, np.eye(m))
     x = x0_hat.copy()
     p = np.broadcast_to(p0, (runs, n, n)).copy()
     est = np.empty((runs, steps, n))
     iters = np.zeros((runs, steps), dtype=np.int32)
     nonconv = np.zeros(runs, dtype=np.int32)
     covs = np.empty((runs, steps, n, n)) if collect_cov else None
+    if kernel is not None:
+        ord_ = 1 if kernel.step_norm == "l1" else 2
+        b_r = cholesky_stack(_symmetrize(R))
+        w_bot = np.linalg.solve(b_r, H)
+        b_r_inv = np.linalg.solve(b_r, np.eye(m))
     for k in range(steps):
         x_pred = x @ F.T
         p_pred = np.einsum("ij,rjk,lk->ril", F, p, F) + Q
-        b_p = _batch_chol(p_pred)
-        w_top = np.linalg.solve(b_p, np.broadcast_to(eye, (runs, n, n)).copy())
-        d_top = np.linalg.solve(b_p, x_pred[..., None])[..., 0]
-        d_bot = ys[:, k] @ b_r_inv.T
-        w = np.concatenate([w_top, np.broadcast_to(w_bot, (runs, m, n))], axis=1)
-        d = np.concatenate([d_top, d_bot], axis=1)
         innovation = ys[:, k] - x_pred @ H.T
-        x_t = x_pred.copy()
-        gain_final = np.zeros((runs, n, m))
-        active = np.ones(runs, dtype=bool)
-        step_iters = np.zeros(runs, dtype=np.int32)
-        for _ in range(kernel.max_iterations):
-            e = d - np.einsum("rln,rn->rl", w, x_t)
-            g = np.maximum(np.exp(-(e * e) / (2.0 * sigma2)), WEIGHT_FLOOR)
-            p_w = np.einsum("rij,rj,rkj->rik", b_p, 1.0 / g[:, :n], b_p)
-            r_w = np.einsum("ij,rj,kj->rik", b_r, 1.0 / g[:, n:], b_r)
-            s = np.einsum("ij,rjk,lk->ril", H, p_w, H) + r_w
-            s = (s + s.transpose(0, 2, 1)) / 2.0
-            pht = np.einsum("rij,kj->rik", p_w, H)
-            gain = np.linalg.solve(s, pht.transpose(0, 2, 1)).transpose(0, 2, 1)
-            x_new = x_pred + np.einsum("rij,rj->ri", gain, innovation)
-            num = np.linalg.norm(x_new - x_t, ord=ord_, axis=1)
-            den = np.linalg.norm(x_t, ord=ord_, axis=1)
-            rel = np.where(den < 1e-300, num, num / np.where(den < 1e-300, 1.0, den))
-            step_iters[active] += 1
-            gain_final[active] = gain[active]
-            x_t = np.where(active[:, None], x_new, x_t)
-            active = active & (rel > kernel.epsilon)
-            if not active.any():
-                break
-        nonconv += active.astype(np.int32)
-        iters[:, k] = step_iters
-        ikh = eye - np.einsum("rij,jk->rik", gain_final, H)
+        if kernel is None:
+            gain = _batch_gain(H, p_pred, R)
+            x = x_pred + np.einsum("rij,rj->ri", gain, innovation)
+        else:
+            b_p = cholesky_stack(_symmetrize(p_pred))
+            w_top = np.linalg.solve(b_p, np.broadcast_to(eye, (runs, n, n)).copy())
+            d_top = np.linalg.solve(b_p, x_pred[..., None])[..., 0]
+            d_bot = ys[:, k] @ b_r_inv.T
+            w = np.concatenate([w_top, np.broadcast_to(w_bot, (runs, m, n))], axis=1)
+            d = np.concatenate([d_top, d_bot], axis=1)
+            x = x_pred.copy()
+            gain = np.zeros((runs, n, m))
+            active = np.ones(runs, dtype=bool)
+            step_iters = iters[:, k]
+            for _ in range(kernel.max_iterations):
+                e = d - np.einsum("rln,rn->rl", w, x)
+                g = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
+                p_w = np.einsum("rij,rj,rkj->rik", b_p, 1.0 / g[:, :n], b_p)
+                r_w = np.einsum("ij,rj,kj->rik", b_r, 1.0 / g[:, n:], b_r)
+                gain_t = _batch_gain(H, p_w, r_w)
+                x_new = x_pred + np.einsum("rij,rj->ri", gain_t, innovation)
+                num = np.linalg.norm(x_new - x, ord=ord_, axis=1)
+                den = np.linalg.norm(x, ord=ord_, axis=1)
+                tiny = den < _STEP_NORM_GUARD
+                rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
+                step_iters[active] += 1
+                gain[active] = gain_t[active]
+                x = np.where(active[:, None], x_new, x)
+                active = active & (rel > kernel.epsilon)
+                if not active.any():
+                    break
+            nonconv += active
+        ikh = eye - np.einsum("rij,jk->rik", gain, H)
         p = np.einsum("rij,rjk,rlk->ril", ikh, p_pred, ikh) + np.einsum(
-            "rij,jk,rlk->ril", gain_final, R, gain_final
+            "rij,jk,rlk->ril", gain, R, gain
         )
-        p = (p + p.transpose(0, 2, 1)) / 2.0
-        x = x_t
+        p = _symmetrize(p)
         est[:, k] = x
         if collect_cov:
             covs[:, k] = p
@@ -530,7 +503,6 @@ def run_monte_carlo(
     validate_model(fmodel)
     runs, steps, n = config.runs, config.steps, model.n
     nfilters = len(config.filters)
-    x0_hats, truths, ys = _generate_all(config, model)
     p0 = config.p0_scale * np.eye(n)
 
     errors = np.full((nfilters, runs, steps, n), np.nan)
@@ -541,38 +513,37 @@ def run_monte_carlo(
         np.full((nfilters, runs, steps, n, n), np.nan) if collect_covariances else None
     )
 
-    for fi, spec in enumerate(config.filters):
-        if engine == "batched":
-            if spec.kind == "kf":
-                est, iters, nonconv, covs = _batched_kf(
-                    fmodel, x0_hats, p0, ys, collect_covariances
-                )
-            else:
-                est, iters, nonconv, covs = _batched_mckf(
+    # A diverging run overflows to Inf and NaN; it is marked failed below,
+    # so the floating-point warnings on the way there carry no information.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0_hats, truths, ys = _generate(config, model, range(runs))
+        for fi, spec in enumerate(config.filters):
+            if engine == "batched":
+                est, iters, nonconv, covs = _batched_filter(
                     fmodel, spec.kernel, x0_hats, p0, ys, collect_covariances
                 )
-            bad = ~np.all(np.isfinite(est), axis=(1, 2))
-            failed[fi] = bad
-            est[bad] = np.nan
-            errors[fi] = est - truths
-            iterations[fi] = iters
-            nonconverged[fi] = nonconv
-            if collect_covariances:
-                covariances[fi] = covs
-        else:
-            for run in range(runs):
-                try:
-                    est, iters, nonconv, covs = _reference_filter_run(
-                        fmodel, spec, x0_hats[run], p0, ys[run], collect_covariances
-                    )
-                except RobustKFError:
-                    failed[fi, run] = True
-                    continue
-                errors[fi, run] = est - truths[run]
-                iterations[fi, run] = iters
-                nonconverged[fi, run] = nonconv
+                bad = ~np.all(np.isfinite(est), axis=(1, 2))
+                failed[fi] = bad
+                est[bad] = np.nan
+                errors[fi] = est - truths
+                iterations[fi] = iters
+                nonconverged[fi] = nonconv
                 if collect_covariances:
-                    covariances[fi, run] = covs
+                    covariances[fi] = covs
+            else:
+                for run in range(runs):
+                    try:
+                        est, iters, nonconv, covs = _reference_filter_run(
+                            fmodel, spec, x0_hats[run], p0, ys[run], collect_covariances
+                        )
+                    except RobustKFError:
+                        failed[fi, run] = True
+                        continue
+                    errors[fi, run] = est - truths[run]
+                    iterations[fi, run] = iters
+                    nonconverged[fi, run] = nonconv
+                    if collect_covariances:
+                        covariances[fi, run] = covs
 
     mse = np.empty((nfilters, n))
     avg_iterations = np.full(nfilters, np.nan)

@@ -134,6 +134,23 @@ class TestSimulate:
         assert header == ["bin_center", "mass"]
         assert len(rows) == 101
 
+    def test_every_run_diverging_is_a_numerical_failure(self, tmp_path):
+        config = {
+            "example": "custom",
+            "custom_model": {
+                "F": [[50.0, 0.0], [0.0, 1.0]],
+                "H": [[1.0, 1.0]],
+                "Q": [[0.01, 0.0], [0.0, 0.01]],
+                "R": [[0.01]],
+            },
+            "true_x0": [0.0, 0.0],
+            "runs": 2,
+            "steps": 400,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+
 
 class TestDiagnose:
     def test_prints_certificate(self, capsys):

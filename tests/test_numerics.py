@@ -9,6 +9,7 @@ from robustkf import (
     min_eigenvalue_symmetric,
     solve_spd,
 )
+from robustkf.numerics import cholesky_stack
 from conftest import random_spd
 
 
@@ -44,6 +45,13 @@ class TestCholeskyLower:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky_lower(np.diag([1.0, -1.0]))
+
+    def test_stack_jitter_is_scaled_per_matrix(self):
+        v = np.array([1e3, 2e3])
+        singular = np.outer(v, v)
+        lower = cholesky_stack(np.stack([singular, np.eye(2)]))
+        np.testing.assert_array_equal(lower[0], cholesky_lower(singular))
+        np.testing.assert_array_equal(lower[1], np.linalg.cholesky((1.0 + 1e-12) * np.eye(2)))
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):

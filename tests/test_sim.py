@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from robustkf import (
     ExperimentConfig,
     FilterSpec,
     KernelConfig,
+    StateSpaceModel,
     error_density,
     generate_run_data,
     make_example1,
@@ -15,7 +17,7 @@ from robustkf import (
     noise_specs,
     run_monte_carlo,
 )
-from robustkf.sim import _generate_all
+from robustkf.sim import _generate
 
 
 def small_config(**overrides):
@@ -109,14 +111,33 @@ class TestRunMonteCarlo:
         np.testing.assert_array_equal(solo.errors[0], both.errors[0])
 
     def test_run_data_matches_batched_generation(self):
-        config = small_config(runs=4)
-        model = config.resolve_model()
-        x0_hats, truths, ys = _generate_all(config, model)
-        for run in range(config.runs):
-            data = generate_run_data(config, run)
-            np.testing.assert_allclose(data.x0_hat, x0_hats[run], atol=1e-12)
-            np.testing.assert_allclose(data.truths, truths[run], atol=1e-12)
-            np.testing.assert_allclose(data.measurements, ys[run], atol=1e-12)
+        # Exact: a run's data must not depend on how many runs are generated.
+        for example in ("example1", "example2"):
+            config = small_config(example=example, runs=4)
+            model = config.resolve_model()
+            x0_hats, truths, ys = _generate(config, model, range(config.runs))
+            for run in range(config.runs):
+                data = generate_run_data(config, run)
+                np.testing.assert_array_equal(data.x0_hat, x0_hats[run])
+                np.testing.assert_array_equal(data.truths, truths[run])
+                np.testing.assert_array_equal(data.measurements, ys[run])
+
+    def test_diverging_runs_fail_alike_on_both_engines(self):
+        # |50^k| overflows long before step 400, in the truths and in the
+        # filters alike.
+        model = StateSpaceModel(
+            F=np.diag([50.0, 1.0]), H=[[1.0, 1.0]], Q=0.01 * np.eye(2), R=[[0.01]]
+        )
+        config = small_config(
+            example="custom", custom_model=model, true_x0=(0.0, 0.0), runs=2, steps=400
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fast = run_monte_carlo(config, engine="batched")
+            slow = run_monte_carlo(config, engine="reference")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        np.testing.assert_array_equal(fast.failed_runs, np.ones((2, 2), dtype=bool))
+        np.testing.assert_array_equal(slow.failed_runs, fast.failed_runs)
 
     def test_huge_bandwidth_matches_baseline_mse(self):
         config = small_config(
