@@ -16,15 +16,24 @@ split by role (0: initial estimate perturbation, 1: process noise sequence,
 bit-identical results, and every filter within a run sees the same data.
 A run's data does not depend on how many runs are generated with it:
 `generate_run_data` returns exactly the run's row of the whole experiment.
+Neither does a run's filter output: the batched engine computes every run
+with per-run stacked operations, so the run's estimates and iteration
+counts are bit-identical whatever the number of runs, and whichever other
+runs are still iterating beside it.  The one exception is the jittered
+retry of `numerics.cholesky_stack`: when one run's predicted covariance is
+indefinite by round-off, every run's factor at that step is jittered.
 
 Two execution engines produce the same numbers: a readable per-step
 ``reference`` engine built directly on the public filter operations, and a
 ``batched`` engine (the default) that advances all runs simultaneously with
 stacked linear algebra.  One batched loop serves both filters: the MCKF is
-the KF's predict and Joseph update around a reweighted gain, and the
-per-run stop rule of its fixed-point solve is replicated exactly via an
-active-run mask.  A run whose numbers overflow is marked failed by either
-engine; it does not stop the experiment.
+the KF's predict and Joseph update around a reweighted gain.  Its
+fixed-point solve carries only the state, in whitened form, and each trip
+works only on the runs still iterating, so the kernel is evaluated once per
+iteration actually taken, with the stop rule of `fixed_point_iterate`.  The
+reweighted gain is formed once per step, from each run's last weights.  A
+run whose numbers overflow is marked failed by either engine; it does not
+stop the experiment.
 """
 
 from __future__ import annotations
@@ -394,28 +403,99 @@ def _reference_filter_run(fmodel, spec, x0_hat, p0, ys, collect_cov):
     return est, iters, nonconv, covs
 
 
+def _mT(a):
+    """Transpose of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _symmetrize(p):
-    return (p + np.swapaxes(p, -1, -2)) / 2.0
+    return (p + _mT(p)) / 2.0
+
+
+def _solve(s, b):
+    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
+    if s.shape[-1] == 1:
+        return b / s
+    return np.linalg.solve(s, b)
 
 
 def _batch_gain(H, p, r):
     """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
-    s = _symmetrize(np.einsum("ij,rjk,lk->ril", H, p, H) + r)
-    pht = np.einsum("rij,kj->rik", p, H)
-    return np.linalg.solve(s, pht.transpose(0, 2, 1)).transpose(0, 2, 1)
+    pht = p @ H.T
+    return _mT(_solve(_symmetrize(H @ pht + r), _mT(pht)))
+
+
+def _batched_fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
+    """Fixed-point solve of every run's correntropy update at one step.
+
+    Iterates the whitened prior residual ``u = B_p^-1 (x - x_pred)`` with
+    ``A = H B_p``: the residuals at ``u`` are ``e = [-u ; B_r^-1 (innovation
+    - A u)]``.  With the inverse floored kernel weights ``w_inv = 1 /
+    max(G_sigma(e), WEIGHT_FLOOR)``, split into ``(wx, wy)``, the next
+    iterate is ``u = wx A' z``, where ``S z = innovation`` and
+    ``S = A diag(wx) A' + B_r diag(wy) B_r'``.  This is
+    ``x = x_pred + K innovation`` with the reweighted gain ``K`` of
+    `fixed_point_iterate`, without forming ``K``.  Each trip works only on
+    the runs still iterating: a run leaves once its relative step is at most
+    ``epsilon`` or is NaN.
+
+    ``iters`` gains one per iteration of each run.  Returns the final
+    iterates ``x``, the ``w_inv`` of each run's last iteration and the
+    indices of the runs that hit the iteration cap.
+    """
+    runs, n = x_pred.shape
+    ord_ = 1 if kernel.step_norm == "l1" else 2
+    x = x_pred.copy()
+    w_inv_last = np.empty((runs, n + b_r.shape[0]))
+    active = np.arange(runs)
+    u = np.zeros((runs, n))
+    x_old = x_pred
+    for _ in range(kernel.max_iterations):
+        r = innovation - (a @ u[..., None])[..., 0]
+        e = np.concatenate([-u, (b_r_inv @ r[..., None])[..., 0]], axis=1)
+        w_inv = 1.0 / np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
+        s = (a * w_inv[:, None, :n]) @ _mT(a) + (b_r * w_inv[:, None, n:]) @ b_r.T
+        z = _solve(s, innovation[..., None])
+        u = w_inv[:, :n] * (_mT(a) @ z)[..., 0]
+        x_new = x_pred + (b_p @ u[..., None])[..., 0]
+        num = np.linalg.norm(x_new - x_old, ord=ord_, axis=1)
+        den = np.linalg.norm(x_old, ord=ord_, axis=1)
+        tiny = den < _STEP_NORM_GUARD
+        rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
+        iters[active] += 1
+        x[active] = x_new
+        w_inv_last[active] = w_inv
+        going = rel > kernel.epsilon
+        if not going.all():
+            active = active[going]
+            if active.size == 0:
+                break
+            a, b_p, x_pred, innovation, u, x_new = (
+                v[going] for v in (a, b_p, x_pred, innovation, u, x_new)
+            )
+        x_old = x_new
+    return x, w_inv_last, active
 
 
 def _batched_filter(fmodel, kernel, x0_hat, p0, ys, collect_cov):
     """Run one filter over all runs at once; ``kernel is None`` is the KF.
 
     Both filters share the predict step and the Joseph update.  The KF takes
-    the gain of the prior covariances; the MCKF takes the gain of the
-    reweighted covariances ``(P_w, R_w)`` at its last fixed-point iterate,
-    with the per-run stop rule of `fixed_point_iterate` kept by a mask of
-    the runs still iterating.
+    the gain of the prior covariances.  The MCKF factors ``B_r = chol(R)``
+    and its inverse once per experiment, and ``B_p = chol(P_pred)``,
+    ``H B_p`` and the innovation once per step.  Its fixed-point loop
+    (`_batched_fixed_point`) then carries only the state and works only on
+    the runs still iterating.  After the loop the gain of the reweighted
+    covariances ``(P_w, R_w)`` is formed once, from each run's last weights;
+    it is the gain `fixed_point_iterate` returns, and the Joseph update uses
+    it.  Every product is per run (stacked ``@``, or ``einsum`` where
+    ``@`` would be one matrix product over all runs, whose rows BLAS
+    computes differently for a single run), so no run's numbers depend on
+    the batch, except through the stack-wide jittered retry of
+    `cholesky_stack`.
     """
     runs, steps, _ = ys.shape
-    n, m = fmodel.n, fmodel.m
+    n = fmodel.n
     F, H, Q, R = fmodel.F, fmodel.H, fmodel.Q, fmodel.R
     eye = np.eye(n)
     x = x0_hat.copy()
@@ -425,51 +505,26 @@ def _batched_filter(fmodel, kernel, x0_hat, p0, ys, collect_cov):
     nonconv = np.zeros(runs, dtype=np.int32)
     covs = np.empty((runs, steps, n, n)) if collect_cov else None
     if kernel is not None:
-        ord_ = 1 if kernel.step_norm == "l1" else 2
         b_r = cholesky_stack(_symmetrize(R))
-        w_bot = np.linalg.solve(b_r, H)
-        b_r_inv = np.linalg.solve(b_r, np.eye(m))
+        b_r_inv = np.linalg.solve(b_r, np.eye(fmodel.m))
     for k in range(steps):
-        x_pred = x @ F.T
-        p_pred = np.einsum("ij,rjk,lk->ril", F, p, F) + Q
-        innovation = ys[:, k] - x_pred @ H.T
+        x_pred = np.einsum("ij,rj->ri", F, x)
+        p_pred = F @ p @ F.T + Q
+        innovation = ys[:, k] - np.einsum("ij,rj->ri", H, x_pred)
         if kernel is None:
             gain = _batch_gain(H, p_pred, R)
-            x = x_pred + np.einsum("rij,rj->ri", gain, innovation)
+            x = x_pred + (gain @ innovation[..., None])[..., 0]
         else:
             b_p = cholesky_stack(_symmetrize(p_pred))
-            w_top = np.linalg.solve(b_p, np.broadcast_to(eye, (runs, n, n)).copy())
-            d_top = np.linalg.solve(b_p, x_pred[..., None])[..., 0]
-            d_bot = ys[:, k] @ b_r_inv.T
-            w = np.concatenate([w_top, np.broadcast_to(w_bot, (runs, m, n))], axis=1)
-            d = np.concatenate([d_top, d_bot], axis=1)
-            x = x_pred.copy()
-            gain = np.zeros((runs, n, m))
-            active = np.ones(runs, dtype=bool)
-            step_iters = iters[:, k]
-            for _ in range(kernel.max_iterations):
-                e = d - np.einsum("rln,rn->rl", w, x)
-                g = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
-                p_w = np.einsum("rij,rj,rkj->rik", b_p, 1.0 / g[:, :n], b_p)
-                r_w = np.einsum("ij,rj,kj->rik", b_r, 1.0 / g[:, n:], b_r)
-                gain_t = _batch_gain(H, p_w, r_w)
-                x_new = x_pred + np.einsum("rij,rj->ri", gain_t, innovation)
-                num = np.linalg.norm(x_new - x, ord=ord_, axis=1)
-                den = np.linalg.norm(x, ord=ord_, axis=1)
-                tiny = den < _STEP_NORM_GUARD
-                rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
-                step_iters[active] += 1
-                gain[active] = gain_t[active]
-                x = np.where(active[:, None], x_new, x)
-                active = active & (rel > kernel.epsilon)
-                if not active.any():
-                    break
-            nonconv += active
-        ikh = eye - np.einsum("rij,jk->rik", gain, H)
-        p = np.einsum("rij,rjk,rlk->ril", ikh, p_pred, ikh) + np.einsum(
-            "rij,jk,rlk->ril", gain, R, gain
-        )
-        p = _symmetrize(p)
+            x, w_inv, capped = _batched_fixed_point(
+                kernel, H @ b_p, b_p, b_r, b_r_inv, x_pred, innovation, iters[:, k]
+            )
+            nonconv[capped] += 1
+            p_w = (b_p * w_inv[:, None, :n]) @ _mT(b_p)
+            r_w = (b_r * w_inv[:, None, n:]) @ b_r.T
+            gain = _batch_gain(H, p_w, r_w)
+        ikh = eye - gain @ H
+        p = _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain))
         est[:, k] = x
         if collect_cov:
             covs[:, k] = p

@@ -1,9 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import robustkf.sim
 from robustkf import (
     EmptyInput,
     ExperimentConfig,
@@ -17,6 +19,7 @@ from robustkf import (
     noise_specs,
     run_monte_carlo,
 )
+from robustkf.mckf import gaussian_kernel
 from robustkf.sim import _generate
 
 
@@ -162,6 +165,74 @@ class TestRunMonteCarlo:
         result = run_monte_carlo(small_config(runs=2, steps=10), collect_covariances=True)
         assert result.covariances.shape == (2, 2, 10, 2, 2)
         assert np.all(np.isfinite(result.covariances))
+
+
+#: Configs that reach each branch of the batched fixed-point loop.
+ENGINE_CASES = {
+    # Runs leave the active set on different trips of one step.
+    "impulsive-both": dict(noise_case="impulsive-both", runs=40, steps=30),
+    # Most steps hit the iteration cap (389 of 400 at seed 11).
+    "iteration-cap": dict(
+        runs=10,
+        filters=(FilterSpec("mckf", KernelConfig(sigma=0.5, epsilon=1e-12, max_iterations=2)),),
+    ),
+    "l1-step-norm": dict(
+        runs=20,
+        filters=(
+            FilterSpec("kf"),
+            FilterSpec("mckf", KernelConfig(sigma=2.0, epsilon=1e-6, step_norm="l1")),
+        ),
+    ),
+    # m = 2: the innovation systems are solved, not divided.
+    "two-measurements": dict(
+        example="custom",
+        custom_model=StateSpaceModel(
+            F=make_example2().F,
+            H=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            Q=0.01 * np.eye(3),
+            R=0.01 * np.eye(2),
+        ),
+        true_x0=(0.0, 0.0, 1.0),
+        runs=20,
+    ),
+}
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_matches_reference_engine(self, case):
+        config = small_config(**ENGINE_CASES[case])
+        fast = run_monte_carlo(config, engine="batched")
+        slow = run_monte_carlo(config, engine="reference")
+        np.testing.assert_allclose(fast.errors, slow.errors, atol=1e-9)
+        np.testing.assert_array_equal(fast.iterations, slow.iterations)
+        np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
+
+    def test_cases_reach_their_branches(self):
+        spread = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"])).iterations[1]
+        assert np.any(spread.max(axis=0) > spread.min(axis=0))
+        capped = run_monte_carlo(small_config(**ENGINE_CASES["iteration-cap"]))
+        assert capped.nonconverged.sum() == 389
+
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_run_output_does_not_depend_on_batch(self, case, width):
+        config = small_config(**ENGINE_CASES[case])
+        wide = run_monte_carlo(config)
+        narrow = run_monte_carlo(replace(config, runs=width))
+        np.testing.assert_array_equal(narrow.errors, wide.errors[:, :width])
+        np.testing.assert_array_equal(narrow.iterations, wide.iterations[:, :width])
+
+    def test_kernel_evaluated_once_per_iteration(self, monkeypatch):
+        rows = []
+
+        def counting_kernel(e, sigma):
+            rows.append(len(e))
+            return gaussian_kernel(e, sigma)
+
+        monkeypatch.setattr(robustkf.sim, "gaussian_kernel", counting_kernel)
+        result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
+        assert sum(rows) == result.iterations[1].sum()
 
 
 class TestErrorDensity:
