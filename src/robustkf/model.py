@@ -204,22 +204,25 @@ def sample_mixture_sequence(
 
     Consumes the stream exactly as ``steps`` sequential `sample_mixture`
     calls would (same uniforms, same order), so the two paths are
-    interchangeable.
+    interchangeable.  The result has shape ``(steps, d)``; a stream over a
+    batch of seeds adds their shape as leading axes, ``(runs, steps, d)``,
+    and row ``i`` is exactly what the stream of seed ``i`` alone gives.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     d = spec.dim
-    u = rng.uniforms(3 * d * steps).reshape(steps, d, 3)
-    out = np.empty((steps, d))
+    u = rng.uniforms(3 * d * steps)
+    u = u.reshape(u.shape[:-1] + (steps, d, 3))
+    out = np.empty(u.shape[:-1])
     for i, coord in enumerate(spec.components):
         cum = np.cumsum([w for w, _, _ in coord])
         idx = np.minimum(
-            np.searchsorted(cum, u[:, i, 0], side="right"), len(coord) - 1
+            np.searchsorted(cum, u[..., i, 0], side="right"), len(coord) - 1
         )
         mus = np.array([mu for _, mu, _ in coord])
         sds = np.sqrt([var for _, _, var in coord])
-        z = np.sqrt(-2.0 * np.log(u[:, i, 1])) * np.cos(2.0 * np.pi * u[:, i, 2])
-        out[:, i] = mus[idx] + sds[idx] * z
+        z = np.sqrt(-2.0 * np.log(u[..., i, 1])) * np.cos(2.0 * np.pi * u[..., i, 2])
+        out[..., i] = mus[idx] + sds[idx] * z
     return out
 
 

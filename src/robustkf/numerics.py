@@ -71,21 +71,31 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
     Notes
     -----
     Covariance round-off can make a PSD matrix indefinite by a few ulps, so
-    a failed factorization is retried once with ``delta_i * I`` added to
-    every matrix ``a_i`` of the stack, where
-    ``delta_i = CHOLESKY_JITTER * max(1, max|a_i|)``.
+    when the stack fails to factorize, each matrix is factorized alone and
+    only a matrix ``a_i`` that fails is retried once with ``delta_i * I``
+    added, where ``delta_i = CHOLESKY_JITTER * max(1, max|a_i|)``.  Every
+    factor is therefore the factor of its own matrix, whatever it is
+    stacked with.
     """
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
-        delta = CHOLESKY_JITTER * scale[..., None, None]
+        pass
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    lower = np.empty_like(stack)
+    for i, a_i in enumerate(stack):
         try:
-            return np.linalg.cholesky(a + delta * np.eye(a.shape[-1]))
+            lower[i] = np.linalg.cholesky(a_i)
         except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "cholesky: non-positive pivot persists after jitter"
-            ) from None
+            delta = CHOLESKY_JITTER * max(1.0, float(np.max(np.abs(a_i))))
+            try:
+                lower[i] = np.linalg.cholesky(a_i + delta * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(
+                    "cholesky: non-positive pivot persists after jitter"
+                ) from None
+    return lower.reshape(a.shape)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:

@@ -14,14 +14,15 @@ substreams: run ``i`` owns ``substream(master_seed, i)``, which is further
 split by role (0: initial estimate perturbation, 1: process noise sequence,
 2: measurement noise sequence).  Identical configs therefore produce
 bit-identical results, and every filter within a run sees the same data.
-A run's data does not depend on how many runs are generated with it:
-`generate_run_data` returns exactly the run's row of the whole experiment.
-Neither does a run's filter output: the batched engine computes every run
-with per-run stacked operations, so the run's estimates and iteration
-counts are bit-identical whatever the number of runs, and whichever other
-runs are still iterating beside it.  The one exception is the jittered
-retry of `numerics.cholesky_stack`: when one run's predicted covariance is
-indefinite by round-off, every run's factor at that step is jittered.
+The runs are generated a chunk at a time, each role's streams of a chunk
+drawn as one batch of seeds, but a stream's draws are a function of its
+seed and draw index only, so a run's data does not depend on how many runs
+are generated with it or on where the chunks fall: `generate_run_data`
+returns exactly the run's row of the whole experiment.  Neither does a
+run's filter output: the batched engine computes every run with per-run
+stacked operations, so the run's estimates and iteration counts are
+bit-identical whatever the number of runs, and whichever other runs are
+still iterating beside it.
 
 Two execution engines produce the same numbers: a readable per-step
 ``reference`` engine built directly on the public filter operations, and a
@@ -325,30 +326,43 @@ class RunData:
     measurements: np.ndarray
 
 
+#: Bound on the uniforms one noise role draws per chunk of runs in
+#: `_generate`: it keeps the generation temporaries small at any run count.
+GENERATION_CHUNK_UNIFORMS = 1 << 16
+
+
 def _generate(config: ExperimentConfig, model: StateSpaceModel, runs):
     """Initial estimates, truths and measurements of ``runs``, stacked by run.
 
-    ``F`` and ``H`` are applied with `numpy.einsum`, whose rows do not depend
-    on how many runs are stacked (BLAS ``@`` rows do), so a run's data is a
-    function of the seed and the run index only.
+    The noise is drawn a chunk of runs at a time: each role's streams of a
+    chunk form one batch of seeds (`RandomStream` over an array), so a chunk
+    costs one draw per role, and the chunk is as many runs as keep each
+    role's draw within `GENERATION_CHUNK_UNIFORMS` uniforms.  The process
+    and measurement noise are written into the truth and measurement arrays
+    and turned into them in place.  ``F`` and ``H`` are applied with
+    `numpy.einsum`, whose rows do not depend on how many runs are stacked
+    (BLAS ``@`` rows do), so a run's data is a function of the seed and the
+    run index only.
     """
     q_spec, r_spec = noise_specs(config.noise_case, model.n, model.m)
     x0 = config.resolve_x0()
-    x0_hats = np.empty((len(runs), model.n))
-    qs = np.empty((len(runs), config.steps, model.n))
-    rs = np.empty((len(runs), config.steps, model.m))
-    for i, run in enumerate(runs):
-        run_seed = substream_seed(config.master_seed, run)
-        init, proc, meas = (RandomStream(substream_seed(run_seed, role)) for role in range(3))
-        x0_hats[i] = x0 + math.sqrt(config.init_perturb_var) * init.normals(model.n)
-        qs[i] = sample_mixture_sequence(q_spec, config.steps, proc)
-        rs[i] = sample_mixture_sequence(r_spec, config.steps, meas)
-    truths = np.empty_like(qs)
+    runs = np.asarray(runs)
+    x0_hats = np.empty((runs.size, model.n))
+    truths = np.empty((runs.size, config.steps, model.n))
+    ys = np.empty((runs.size, config.steps, model.m))
+    chunk = max(1, GENERATION_CHUNK_UNIFORMS // (3 * max(model.n, model.m) * config.steps))
+    for start in range(0, runs.size, chunk):
+        rows = slice(start, start + chunk)
+        run_seeds = substream_seed(config.master_seed, runs[rows])
+        init, proc, meas = (RandomStream(substream_seed(run_seeds, role)) for role in range(3))
+        x0_hats[rows] = x0 + math.sqrt(config.init_perturb_var) * init.normals(model.n)
+        truths[rows] = sample_mixture_sequence(q_spec, config.steps, proc)
+        ys[rows] = sample_mixture_sequence(r_spec, config.steps, meas)
     x = np.broadcast_to(x0, x0_hats.shape)
     for k in range(config.steps):
-        x = np.einsum("ij,rj->ri", model.F, x) + qs[:, k]
+        x = np.einsum("ij,rj->ri", model.F, x) + truths[:, k]
         truths[:, k] = x
-    ys = np.einsum("ij,rkj->rki", model.H, truths) + rs
+    ys += np.einsum("ij,rkj->rki", model.H, truths)
     return x0_hats, truths, ys
 
 
@@ -491,8 +505,7 @@ def _batched_filter(fmodel, kernel, x0_hat, p0, ys, collect_cov):
     it.  Every product is per run (stacked ``@``, or ``einsum`` where
     ``@`` would be one matrix product over all runs, whose rows BLAS
     computes differently for a single run), so no run's numbers depend on
-    the batch, except through the stack-wide jittered retry of
-    `cholesky_stack`.
+    the batch.
     """
     runs, steps, _ = ys.shape
     n = fmodel.n

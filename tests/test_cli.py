@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from robustkf.cli import run_cli
+from robustkf.cli import _write_table, run_cli
 
 
 def bench_args(out, extra=()):
@@ -108,6 +108,21 @@ class TestBench:
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shorter_table_over_longer_leaves_only_new_bytes(self, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        _write_table(path, "long", ["a", "b"], [[float(i), i] for i in range(200)], fmt)
+        fresh = tmp_path / f"fresh.{fmt}"
+        _write_table(fresh, "short", ["a", "b"], [[0.5, None]], fmt)
+        _write_table(path, "short", ["a", "b"], [[0.5, None]], fmt)
+        assert path.read_bytes() == fresh.read_bytes()
+        if fmt == "csv":
+            assert path.read_bytes() == b"# short\na,b\n0.5,\n"
+        else:
+            assert json.loads(path.read_bytes())["rows"] == [[0.5, None]]
 
 
 class TestSimulate:

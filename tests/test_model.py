@@ -110,6 +110,16 @@ class TestMixtureNoiseSpec:
         singles = np.array([sample_mixture(spec, stream) for _ in range(25)])
         np.testing.assert_array_equal(block, singles)
 
+    def test_batch_rows_match_single_streams(self):
+        spec = MixtureNoiseSpec.iid(2, IMPULSIVE)
+        seeds = np.array([3, 5, 8], dtype=np.uint64)
+        block = sample_mixture_sequence(spec, 7, RandomStream(seeds))
+        assert block.shape == (3, 7, 2)
+        for i, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                block[i], sample_mixture_sequence(spec, 7, RandomStream(int(seed)))
+            )
+
 
 class TestPropagateTruth:
     def test_zero_noise_identity_dynamics(self):

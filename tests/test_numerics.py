@@ -51,7 +51,16 @@ class TestCholeskyLower:
         singular = np.outer(v, v)
         lower = cholesky_stack(np.stack([singular, np.eye(2)]))
         np.testing.assert_array_equal(lower[0], cholesky_lower(singular))
-        np.testing.assert_array_equal(lower[1], np.linalg.cholesky((1.0 + 1e-12) * np.eye(2)))
+        np.testing.assert_array_equal(lower[1], np.linalg.cholesky(np.eye(2)))
+
+    def test_stack_jitters_only_the_failing_matrix(self):
+        # Indefinite by round-off: the smallest eigenvalue is -5e-16.
+        spd = np.array([[2.0, 1.0], [1.0, 2.0]])
+        indefinite = np.diag([1.0, -5e-16])
+        lower = cholesky_stack(np.stack([spd, indefinite]))
+        np.testing.assert_array_equal(lower[0], cholesky_stack(spd))
+        np.testing.assert_array_equal(lower[0], np.linalg.cholesky(spd))
+        np.testing.assert_array_equal(lower[1], cholesky_stack(indefinite))
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from robustkf import RandomStream, substream_seed
 
@@ -44,3 +45,29 @@ def test_block_generation_matches_sequential():
     b = RandomStream(31)
     singles = np.concatenate([b.uniforms(1) for _ in range(64)])
     np.testing.assert_array_equal(block, singles)
+
+
+def test_stream_over_seeds_draws_each_seeds_stream():
+    seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    batch = RandomStream(seeds)
+    block = batch.uniforms(5)
+    normals = batch.normals(3)
+    assert block.shape == (4, 5) and normals.shape == (4, 3)
+    for i, seed in enumerate(seeds):
+        single = RandomStream(int(seed))
+        np.testing.assert_array_equal(block[i], single.uniforms(5))
+        np.testing.assert_array_equal(normals[i], single.normals(3))
+
+
+def test_substream_seed_over_arrays():
+    indices = np.arange(6)
+    np.testing.assert_array_equal(
+        substream_seed(-1, indices), [substream_seed(-1, i) for i in range(6)]
+    )
+    parents = substream_seed(2**64 + 5, indices)
+    assert parents.dtype == np.uint64
+    np.testing.assert_array_equal(
+        substream_seed(parents, 2), [substream_seed(int(p), 2) for p in parents]
+    )
+    with pytest.raises(ValueError):
+        substream_seed(1, np.array([0, -1]))

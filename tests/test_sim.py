@@ -8,6 +8,7 @@ import pytest
 import robustkf.sim
 from robustkf import (
     EmptyInput,
+    RandomStream,
     ExperimentConfig,
     FilterSpec,
     KernelConfig,
@@ -18,9 +19,74 @@ from robustkf import (
     make_example2,
     noise_specs,
     run_monte_carlo,
+    substream_seed,
 )
 from robustkf.mckf import gaussian_kernel
 from robustkf.sim import _generate
+
+
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix(seed: int, k: int) -> int:
+    """``mix64(seed + (k + 1) * GAMMA)`` on Python ints.
+
+    The documented contract for both the k-th raw draw of a stream and the
+    seed of its k-th substream.
+    """
+    z = (seed + (k + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _oracle_uniforms(seed: int, count: int) -> list[float]:
+    return [((_splitmix(seed, k) >> 11) + 0.5) * 2.0**-53 for k in range(count)]
+
+
+def _oracle_normal(u1: float, u2: float) -> float:
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _oracle_mixture(spec, steps: int, seed: int) -> list[list[float]]:
+    u = iter(_oracle_uniforms(seed, 3 * spec.dim * steps))
+    out = []
+    for _ in range(steps):
+        row = []
+        for coord in spec.components:
+            pick, u1, u2 = next(u), next(u), next(u)
+            cum, chosen = 0.0, coord[-1]
+            for comp in coord:
+                cum += comp[0]
+                if pick < cum:
+                    chosen = comp
+                    break
+            _, mu, var = chosen
+            row.append(mu + math.sqrt(var) * _oracle_normal(u1, u2))
+        out.append(row)
+    return out
+
+
+def _oracle_run_data(config, run: int):
+    """One run's data rebuilt from the reproducibility contract in pure Python."""
+    model = config.resolve_model()
+    F, H = model.F.tolist(), model.H.tolist()
+    q_spec, r_spec = noise_specs(config.noise_case, model.n, model.m)
+    run_seed = _splitmix(config.master_seed & _MASK64, run)
+    init, proc, meas = (_splitmix(run_seed, role) for role in range(3))
+    u = _oracle_uniforms(init, 2 * model.n)
+    x0 = config.resolve_x0().tolist()
+    sd = math.sqrt(config.init_perturb_var)
+    x0_hat = [x0[i] + sd * _oracle_normal(u[2 * i], u[2 * i + 1]) for i in range(model.n)]
+    qs = _oracle_mixture(q_spec, config.steps, proc)
+    rs = _oracle_mixture(r_spec, config.steps, meas)
+    x, truths, ys = x0, [], []
+    for q, r in zip(qs, rs):
+        x = [sum(f * v for f, v in zip(row, x)) + qi for row, qi in zip(F, q)]
+        truths.append(x)
+        ys.append([sum(h * v for h, v in zip(row, x)) + ri for row, ri in zip(H, r)])
+    return run_seed, x0_hat, truths, ys
 
 
 def small_config(**overrides):
@@ -124,6 +190,44 @@ class TestRunMonteCarlo:
                 np.testing.assert_array_equal(data.x0_hat, x0_hats[run])
                 np.testing.assert_array_equal(data.truths, truths[run])
                 np.testing.assert_array_equal(data.measurements, ys[run])
+
+    @pytest.mark.parametrize("master_seed", [0, -1, 2**64 + 5])
+    def test_generation_matches_independent_oracle(self, master_seed):
+        # Seeds are taken modulo 2**64, as substream_seed does on Python ints.
+        config = small_config(
+            example="example2", noise_case="impulsive-both", runs=3, steps=12,
+            master_seed=master_seed,
+        )
+        x0_hats, truths, ys = _generate(config, config.resolve_model(), range(config.runs))
+        run_seeds = substream_seed(master_seed, np.arange(config.runs))
+        for run in range(config.runs):
+            run_seed, x0_hat, o_truths, o_ys = _oracle_run_data(config, run)
+            assert substream_seed(master_seed, run) == run_seed == int(run_seeds[run])
+            role_seeds = [_splitmix(run_seed, role) for role in range(3)]
+            assert [substream_seed(run_seed, role) for role in range(3)] == role_seeds
+            for seed in role_seeds:
+                assert RandomStream(seed).raw(8).tolist() == [_splitmix(seed, k) for k in range(8)]
+            np.testing.assert_allclose(x0_hats[run], x0_hat, rtol=1e-13, atol=0.0)
+            # Summation order differs from einsum's, so the comparison of the
+            # propagated states allows round-off relative to their scale.
+            for got, want in ((truths[run], o_truths), (ys[run], o_ys)):
+                want = np.array(want)
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-13, atol=1e-13 * float(np.max(np.abs(want)))
+                )
+
+    def test_generation_across_chunk_boundaries(self):
+        config = small_config(noise_case="impulsive-both", steps=2000)
+        model = config.resolve_model()
+        chunk = robustkf.sim.GENERATION_CHUNK_UNIFORMS // (3 * max(model.n, model.m) * config.steps)
+        assert chunk >= 2
+        config = replace(config, runs=2 * chunk + 1)
+        x0_hats, truths, ys = _generate(config, model, range(config.runs))
+        for run in range(config.runs):
+            data = generate_run_data(config, run)
+            np.testing.assert_array_equal(data.x0_hat, x0_hats[run])
+            np.testing.assert_array_equal(data.truths, truths[run])
+            np.testing.assert_array_equal(data.measurements, ys[run])
 
     def test_diverging_runs_fail_alike_on_both_engines(self):
         # |50^k| overflows long before step 400, in the truths and in the
