@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     BetaTooSmall,
@@ -234,6 +233,7 @@ def jacobian_f(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np.ndar
     SingularDesign
         If that factor is rank-deficient.
     """
+    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     f_x, e, c, q, r = weighted_qr_map(reg, x, sigma)
     t_over_c = np.where(c > WEIGHT_FLOOR, e * (reg.D - reg.W @ f_x) / (sigma * sigma), 0.0)
     return solve_triangular(r, (q.T * t_over_c) @ q @ r)

@@ -1,8 +1,10 @@
 """Classic Kalman filter predict and update steps.
 
-These are the baseline estimator and the prior-propagation stage reused by
-the correntropy filter.  Both functions are pure; covariances are
-symmetrized before constructing the returned belief.
+These are the baseline estimator.  `kf_predict` is the prior propagation the
+reference Monte Carlo engine composes with the correntropy update;
+`kf_update` is the kernel-free case of the stacked update the filters share
+(`robustkf.mckf._filter_update`), run on one trajectory.  Both functions are
+pure; covariances are symmetrized before constructing the returned belief.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
+from .mckf import _checked_measurement, _filter_update
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import require_finite, solve_spd
+from .numerics import cholesky_lower
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:
@@ -34,28 +37,17 @@ def kf_update(
 ) -> tuple[GaussianBelief, np.ndarray]:
     """Condition a prior belief on one measurement.
 
-    The gain solves ``(H P H.T + R) K.T = H P`` through an SPD factorization
-    (no explicit inverse).  The covariance uses the Joseph form
+    Runs the KF case of the batched Monte Carlo engine's update,
+    `_filter_update`, on one run.  The gain solves ``(H P H.T + R) K.T =
+    H P`` (no explicit inverse); the covariance uses the Joseph form
     ``(I - K H) P (I - K H).T + K R K.T``, which stays PSD under perturbed
-    gains.
+    gains.  The inputs are checked once: the belief's dimension, a finite
+    measurement of length m, and ``R`` symmetric and positive definite
+    through its Cholesky factor.  The posterior must be finite and PSD.
 
-    Returns
-    -------
-    (GaussianBelief, ndarray)
-        The posterior belief and the n x m gain matrix.
+    Returns ``(posterior, gain)``, the gain an n x m matrix.
     """
-    y = require_finite(np.atleast_1d(y), "kf_update measurement")
-    if y.size != model.m:
-        raise DimensionMismatch(f"measurement has dim {y.size}, model expects {model.m}")
-    if prior.dim != model.n:
-        raise DimensionMismatch(
-            f"belief dim {prior.dim} does not match model state dim {model.n}"
-        )
-    P = prior.cov
-    innovation_cov = model.H @ P @ model.H.T + model.R
-    innovation_cov = (innovation_cov + innovation_cov.T) / 2.0
-    gain = solve_spd(innovation_cov, model.H @ P).T
-    mean = prior.mean + gain @ (y - model.H @ prior.mean)
-    ikh = np.eye(model.n) - gain @ model.H
-    cov = ikh @ P @ ikh.T + gain @ model.R @ gain.T
-    return GaussianBelief(mean, (cov + cov.T) / 2.0), gain
+    y = _checked_measurement(model, prior, y, "kf_update")
+    cholesky_lower(model.R)  # R symmetric and positive definite
+    x, p, gain, _ = _filter_update(model, None, None, prior.mean[None], prior.cov[None], y, None)
+    return GaussianBelief._from_filter(x[0], p[0]), gain[0]

@@ -22,18 +22,20 @@ equations ``W' C W``: it solves through the QR factor of ``C^½ W``, whose
 condition number is the square root of theirs, and the analytic Jacobian in
 `robustkf.diagnostics` reuses that same factor.
 
-The gain form is what `mckf_step` runs; the direct form is kept as an
-independent cross-check.  With all kernel weights equal to one, both
-collapse to the ordinary Kalman update, and that limit is approached as the
-bandwidth grows.
+The filter runs the gain form over a stack of runs (`_filter_step`), which
+`mckf_step` runs for one run and the batched Monte Carlo engine for all
+runs at once.  The one-regression functions here (`build_regression`,
+`fixed_point_iterate`, ...) are the reference engine's independent
+implementation, and the direct form a cross-check of both.  With all kernel
+weights equal to one, the forms collapse to the ordinary Kalman update, and
+that limit is approached as the bandwidth grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -42,9 +44,8 @@ from .errors import (
     EmptyInput,
     SingularDesign,
 )
-from .kf import kf_predict
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_lower, require_finite, solve_spd
+from .numerics import cholesky_lower, cholesky_stack, require_finite, solve_spd
 
 #: Lower clamp on kernel weights before inverting the weight matrices.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
@@ -164,6 +165,7 @@ def build_regression(
     Factorizes ``prior.cov = B_p B_p'`` and ``R = B_r B_r'`` and forms D and W
     by triangular solves (never explicit inverses).
     """
+    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     y = require_finite(np.atleast_1d(y), "build_regression measurement")
     if y.size != model.m:
         raise DimensionMismatch(f"measurement has dim {y.size}, model expects {model.m}")
@@ -247,6 +249,7 @@ def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
         value is at most ``L * eps`` times its largest, the tolerance of
         ``numpy.linalg.matrix_rank``.
     """
+    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     e = compute_residuals(reg, x)
     wts = weight_matrices(e, sigma, reg.n, reg.m)
     c = np.concatenate([wts.cx, wts.cy])
@@ -344,6 +347,145 @@ def fixed_point_direct(
     return x
 
 
+def _mT(a):
+    """Transpose of each matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _symmetrize(p):
+    return (p + _mT(p)) / 2.0
+
+
+def _solve(s, b):
+    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
+    if s.shape[-1] == 1:
+        return b / s
+    return np.linalg.solve(s, b)
+
+
+def _gain(H, p, r):
+    """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
+    pht = p @ H.T
+    return _mT(_solve(_symmetrize(H @ pht + r), _mT(pht)))
+
+
+def _measurement_factors(R):
+    """``B_r = chol(R)``, checked symmetric and positive definite, and ``B_r^-1``."""
+    b_r = cholesky_lower(R)
+    return b_r, _solve(b_r, np.eye(b_r.shape[0]))
+
+
+def _fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
+    """Fixed-point solve of the correntropy update of every run of a stack.
+
+    Iterates the whitened prior residual ``u = B_p^-1 (x - x_pred)`` with
+    ``A = H B_p``: the residuals at ``u`` are ``e = [-u ; B_r^-1 (innovation
+    - A u)]``.  With the floored kernel weights ``c = max(G_sigma(e),
+    WEIGHT_FLOOR)`` and ``w_inv = 1 / c``, split into ``(wx, wy)``, the next
+    iterate is ``u = wx A' z``, where ``S z = innovation`` and
+    ``S = A diag(wx) A' + B_r diag(wy) B_r'``.  This is
+    ``x = x_pred + K innovation`` with the reweighted gain ``K`` of
+    `fixed_point_iterate`, without forming ``K``.  Each trip works only on
+    the runs still iterating: a run leaves once its relative step is at most
+    ``epsilon`` or is NaN.
+
+    ``iters`` gains one per iteration of each run.  Returns the final
+    iterates ``x``, the weights ``c`` and the relative step of each run's
+    last iteration, and the indices of the runs that hit the iteration cap.
+    """
+    runs, n = x_pred.shape
+    ord_ = 1 if kernel.step_norm == "l1" else 2
+    x = x_pred.copy()
+    weights = np.empty((runs, n + b_r.shape[0]))
+    last_rel = np.empty(runs)
+    active = np.arange(runs)
+    u = np.zeros((runs, n))
+    x_old = x_pred
+    for _ in range(kernel.max_iterations):
+        r = innovation - (a @ u[..., None])[..., 0]
+        e = np.concatenate([-u, (b_r_inv @ r[..., None])[..., 0]], axis=1)
+        c = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
+        w_inv = 1.0 / c
+        s = (a * w_inv[:, None, :n]) @ _mT(a) + (b_r * w_inv[:, None, n:]) @ b_r.T
+        z = _solve(s, innovation[..., None])
+        u = w_inv[:, :n] * (_mT(a) @ z)[..., 0]
+        x_new = x_pred + (b_p @ u[..., None])[..., 0]
+        num = np.linalg.norm(x_new - x_old, ord=ord_, axis=1)
+        den = np.linalg.norm(x_old, ord=ord_, axis=1)
+        tiny = den < _STEP_NORM_GUARD
+        rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
+        iters[active] += 1
+        x[active] = x_new
+        weights[active] = c
+        last_rel[active] = rel
+        going = rel > kernel.epsilon
+        if not going.all():
+            active = active[going]
+            if active.size == 0:
+                break
+            a, b_p, x_pred, innovation, u, x_new = (
+                v[going] for v in (a, b_p, x_pred, innovation, u, x_new)
+            )
+        x_old = x_new
+    return x, weights, last_rel, active
+
+
+def _filter_update(model, kernel, factors, x_pred, p_pred, y, iters):
+    """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
+
+    The KF takes the gain of the prior covariances.  The MCKF runs
+    `_fixed_point` with ``B_p = chol(P_pred)`` and ``factors`` from
+    `_measurement_factors`, then forms the gain of the reweighted covariances
+    ``(P_w, R_w)`` from each run's last weights, the gain
+    `fixed_point_iterate` returns.  The Joseph update takes that gain, the
+    prior covariance and the nominal ``R``.  Every product is per run
+    (stacked ``@``, or ``einsum`` where ``@`` would be one BLAS product over
+    all runs), so no run's numbers depend on the stack.  Returns ``(x, P,
+    gain, fixed_point)``: ``fixed_point`` is `_fixed_point`'s ``(weights,
+    last_rel, capped)``, or ``None`` for the KF.
+    """
+    H, R = model.H, model.R
+    n = x_pred.shape[1]
+    innovation = y - np.einsum("ij,rj->ri", H, x_pred)
+    if kernel is None:
+        gain = _gain(H, p_pred, R)
+        x = x_pred + (gain @ innovation[..., None])[..., 0]
+        fixed_point = None
+    else:
+        b_r, b_r_inv = factors
+        b_p = cholesky_stack(_symmetrize(p_pred))
+        x, weights, last_rel, capped = _fixed_point(
+            kernel, H @ b_p, b_p, b_r, b_r_inv, x_pred, innovation, iters
+        )
+        w_inv = 1.0 / weights
+        p_w = (b_p * w_inv[:, None, :n]) @ _mT(b_p)
+        r_w = (b_r * w_inv[:, None, n:]) @ b_r.T
+        gain = _gain(H, p_w, r_w)
+        fixed_point = weights, last_rel, capped
+    ikh = np.eye(n) - gain @ H
+    p = _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain))
+    return x, p, gain, fixed_point
+
+
+def _filter_step(model, kernel, factors, x, p, y, iters):
+    """One predict/update cycle of a stack of runs (see `_filter_update`)."""
+    x_pred = np.einsum("ij,rj->ri", model.F, x)
+    p_pred = model.F @ p @ model.F.T + model.Q
+    return _filter_update(model, kernel, factors, x_pred, p_pred, y, iters)
+
+
+def _checked_measurement(model: StateSpaceModel, belief: GaussianBelief, y, name: str):
+    """Check a single-trajectory step's belief and measurement; ``y`` as one row."""
+    if belief.dim != model.n:
+        raise DimensionMismatch(
+            f"belief dim {belief.dim} does not match model state dim {model.n}"
+        )
+    y = require_finite(np.atleast_1d(y), f"{name} measurement")
+    if y.size != model.m:
+        raise DimensionMismatch(f"measurement has dim {y.size}, model expects {model.m}")
+    return y.reshape(1, model.m)
+
+
 def mckf_step(
     model: StateSpaceModel,
     posterior_prev: GaussianBelief,
@@ -352,14 +494,24 @@ def mckf_step(
 ) -> tuple[GaussianBelief, FixedPointReport]:
     """One full predict/update cycle of the robust filter.
 
-    Predicts with the model dynamics, whitens the stacked regression, runs
-    the fixed-point solve, and updates the covariance in Joseph form using
-    the final gain together with the unmodified prior covariance and the
-    nominal measurement covariance.
+    Runs the batched Monte Carlo engine's step, `_filter_step`, on one run,
+    so the result is exactly that run's row of `run_monte_carlo`: predict,
+    the fixed-point solve in gain form, and the Joseph update with the final
+    gain, the prior covariance and the nominal ``R``.  The report is the one
+    `fixed_point_iterate` gives.
+
+    The inputs are checked once: the belief's dimension, a finite
+    measurement of length m, and ``R`` symmetric and positive definite
+    through its Cholesky factor.  A predicted covariance that does not
+    factorize raises `NotPositiveDefinite`; the posterior must be finite
+    and PSD.
     """
-    prior = kf_predict(model, posterior_prev)
-    reg = build_regression(model, prior, y)
-    x, gain, report = fixed_point_iterate(reg, config)
-    ikh = np.eye(model.n) - gain @ model.H
-    cov = ikh @ prior.cov @ ikh.T + gain @ model.R @ gain.T
-    return GaussianBelief(x, (cov + cov.T) / 2.0), report
+    y = _checked_measurement(model, posterior_prev, y, "mckf_step")
+    iters = np.zeros(1, dtype=np.int32)
+    x, p, _, (weights, last_rel, capped) = _filter_step(
+        model, config, _measurement_factors(model.R),
+        posterior_prev.mean[None], posterior_prev.cov[None], y, iters,
+    )
+    wts = WeightMatrices(cx=weights[0, :model.n], cy=weights[0, model.n:])
+    report = FixedPointReport(int(iters[0]), capped.size == 0, wts, float(last_rel[0]))
+    return GaussianBelief._from_filter(x[0], p[0]), report

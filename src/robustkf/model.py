@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD, NotSymmetric
-from .numerics import (
-    SYMMETRY_RTOL,
-    min_eigenvalue_symmetric,
-    require_finite,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
+from .numerics import require_finite, require_symmetric
 from .rng import RandomStream
 
 #: Relative tolerance on the PSD check for covariance matrices.
 PSD_RTOL = 1e-10
+
+
+def _require_psd(cov: np.ndarray, name: str) -> None:
+    """Raise `NotPSD` if the symmetric ``cov`` has an eigenvalue below
+    ``-PSD_RTOL * max|cov|``."""
+    if np.linalg.eigvalsh(cov)[0] < -PSD_RTOL * float(np.max(np.abs(cov))):
+        raise NotPSD(f"{name} has a negative eigenvalue beyond tolerance")
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,27 @@ class GaussianBelief:
 
     def __post_init__(self):
         mean = require_finite(np.atleast_1d(self.mean), "GaussianBelief.mean")
-        cov = require_finite(np.atleast_2d(self.cov), "GaussianBelief.cov")
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if mean.ndim != 1:
             raise DimensionMismatch("GaussianBelief.mean must be a vector")
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"GaussianBelief.cov shape {cov.shape} does not match state dim {mean.size}"
             )
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > SYMMETRY_RTOL * scale:
-            raise NotSymmetric("GaussianBelief.cov is not symmetric within tolerance")
-        if min_eigenvalue_symmetric(cov) < -PSD_RTOL * float(np.max(np.abs(cov))):
-            raise NotPSD("GaussianBelief.cov has a negative eigenvalue beyond tolerance")
+        _require_psd(require_symmetric(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _from_filter(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
+        """A filter step's output: ``mean`` a float vector and ``cov`` the matching
+        matrix the step just symmetrized, so only finiteness and PSD are checked."""
+        require_finite(mean, "GaussianBelief.mean")
+        _require_psd(require_finite(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "mean", mean)
+        object.__setattr__(belief, "cov", cov)
+        return belief
 
     @property
     def dim(self) -> int:
@@ -164,7 +174,7 @@ def validate_model(model: StateSpaceModel) -> None:
         Q has an eigenvalue below ``-PSD_RTOL * max|Q|``.
     """
     F, H, Q, R = model.F, model.H, model.Q, model.R
-    for name, arr in (("F", F), ("H", H), ("Q", Q), ("R", R)):
+    for name, arr in (("F", F), ("H", H)):
         require_finite(arr, f"StateSpaceModel.{name}")
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise DimensionMismatch(f"F must be square, got {F.shape}")
@@ -176,14 +186,11 @@ def validate_model(model: StateSpaceModel) -> None:
         raise DimensionMismatch(f"Q must be {n} x {n}, got {Q.shape}")
     if R.shape != (m, m):
         raise DimensionMismatch(f"R must be {m} x {m}, got {R.shape}")
-    for name, arr in (("Q", Q), ("R", R)):
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
-            raise NotSymmetric(f"{name} is not symmetric within tolerance")
-    if min_eigenvalue_symmetric(R) <= 0.0:
+    Q = require_symmetric(Q, "StateSpaceModel.Q")
+    R = require_symmetric(R, "StateSpaceModel.R")
+    if np.linalg.eigvalsh(R)[0] <= 0.0:
         raise NotPositiveDefinite("R must be positive definite")
-    if min_eigenvalue_symmetric(Q) < -PSD_RTOL * float(np.max(np.abs(Q))):
-        raise NotPSD("Q must be positive semidefinite")
+    _require_psd(Q, "Q")
 
 
 def sample_mixture(spec: MixtureNoiseSpec, rng: RandomStream) -> np.ndarray:
@@ -224,27 +231,3 @@ def sample_mixture_sequence(
         z = np.sqrt(-2.0 * np.log(u[..., i, 1])) * np.cos(2.0 * np.pi * u[..., i, 2])
         out[..., i] = mus[idx] + sds[idx] * z
     return out
-
-
-def propagate_truth(
-    model: StateSpaceModel,
-    x: np.ndarray,
-    q_spec: MixtureNoiseSpec,
-    r_spec: MixtureNoiseSpec,
-    rng: RandomStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the true state one step and measure it.
-
-    Returns ``(x_next, y)`` with ``x_next = F x + q`` and ``y = H x_next + r``.
-    The process noise is drawn before the measurement noise.
-    """
-    x = require_finite(np.atleast_1d(x), "propagate_truth state")
-    if x.size != model.n:
-        raise DimensionMismatch(f"state has dim {x.size}, model expects {model.n}")
-    if q_spec.dim != model.n or r_spec.dim != model.m:
-        raise DimensionMismatch("noise spec dimensions do not match the model")
-    q = sample_mixture(q_spec, rng)
-    x_next = model.F @ x + q
-    r = sample_mixture(r_spec, rng)
-    y = model.H @ x_next + r
-    return x_next, y

@@ -24,29 +24,35 @@ stacked operations, so the run's estimates and iteration counts are
 bit-identical whatever the number of runs, and whichever other runs are
 still iterating beside it.
 
-Two execution engines produce the same numbers: a readable per-step
-``reference`` engine built directly on the public filter operations, and a
-``batched`` engine (the default) that advances all runs simultaneously with
-stacked linear algebra.  One batched loop serves both filters: the MCKF is
-the KF's predict and Joseph update around a reweighted gain.  Its
-fixed-point solve carries only the state, in whitened form, and each trip
-works only on the runs still iterating, so the kernel is evaluated once per
-iteration actually taken, with the stop rule of `fixed_point_iterate`.  The
-reweighted gain is formed once per step, from each run's last weights.  A
-run whose numbers overflow is marked failed by either engine; it does not
-stop the experiment.
+Two independent execution engines produce the same numbers.  The
+``batched`` engine (the default) advances all runs at once through the
+filters' stacked step, `robustkf.mckf._filter_step`, which `mckf_step` and
+`kf_update` run for a single run; its fixed-point solve works only on the
+runs still iterating.  The ``reference`` engine steps one run at a time
+through `kf_predict`, `build_regression`, `fixed_point_iterate` (the KF:
+`robust_gain` at unit weights) and a Joseph update of its own.  A run whose
+numbers overflow is marked failed by either engine; it does not stop the
+experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
-from .kf import kf_predict, kf_update
-from .mckf import WEIGHT_FLOOR, _STEP_NORM_GUARD, KernelConfig, gaussian_kernel, mckf_step
+from .kf import kf_predict
+from .mckf import (
+    KernelConfig,
+    WeightMatrices,
+    _filter_step,
+    _measurement_factors,
+    build_regression,
+    fixed_point_iterate,
+    robust_gain,
+)
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -55,7 +61,6 @@ from .model import (
     sample_mixture_sequence,
     validate_model,
 )
-from .numerics import cholesky_stack
 from .rng import RandomStream, substream_seed
 
 NOISE_CASES = ("gaussian", "impulsive-measurement", "impulsive-both", "none")
@@ -240,42 +245,15 @@ class ExperimentConfig:
         return StateSpaceModel(F=model.F, H=model.H, Q=q_assumed, R=r_assumed)
 
     def to_dict(self) -> dict:
-        filters = []
-        for f in self.filters:
-            if f.kind == "kf":
-                filters.append({"kind": "kf"})
-            else:
-                filters.append(
-                    {
-                        "kind": "mckf",
-                        "sigma": f.kernel.sigma,
-                        "epsilon": f.kernel.epsilon,
-                        "max_iterations": f.kernel.max_iterations,
-                        "step_norm": f.kernel.step_norm,
-                    }
-                )
-        out = {
-            "example": self.example,
-            "noise_case": self.noise_case,
-            "runs": self.runs,
-            "steps": self.steps,
-            "filters": filters,
-            "master_seed": self.master_seed,
-            "theta": self.theta,
-            "dt": self.dt,
-            "true_x0": None if self.true_x0 is None else list(self.true_x0),
-            "init_perturb_var": self.init_perturb_var,
-            "p0_scale": self.p0_scale,
-            "assumed_q": None if self.assumed_q is None else [list(r) for r in self.assumed_q],
-            "assumed_r": None if self.assumed_r is None else [list(r) for r in self.assumed_r],
-        }
-        if self.custom_model is not None:
-            out["custom_model"] = {
-                "F": self.custom_model.F.tolist(),
-                "H": self.custom_model.H.tolist(),
-                "Q": self.custom_model.Q.tolist(),
-                "R": self.custom_model.R.tolist(),
-            }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["filters"] = [
+            {"kind": "kf"} if f.kernel is None else {"kind": "mckf", **asdict(f.kernel)}
+            for f in self.filters
+        ]
+        if self.custom_model is None:
+            del out["custom_model"]
+        else:
+            out["custom_model"] = {k: getattr(self.custom_model, k).tolist() for k in "FHQR"}
         return out
 
     @classmethod
@@ -284,31 +262,19 @@ class ExperimentConfig:
         filters = []
         for f in data.pop("filters", [{"kind": "kf"}]):
             kind = f.get("kind")
-            if kind == "kf":
-                filters.append(FilterSpec("kf"))
-            elif kind == "mckf":
-                filters.append(
-                    FilterSpec(
-                        "mckf",
-                        KernelConfig(
-                            sigma=f["sigma"],
-                            epsilon=f["epsilon"],
-                            max_iterations=int(f.get("max_iterations", 100)),
-                            step_norm=f.get("step_norm", "l2"),
-                        ),
-                    )
-                )
-            else:
+            if kind not in ("kf", "mckf"):
                 raise ConfigParseError(f"unknown filter kind {kind!r}")
+            kernel = None if kind == "kf" else KernelConfig(
+                sigma=f["sigma"],
+                epsilon=f["epsilon"],
+                max_iterations=int(f.get("max_iterations", 100)),
+                step_norm=f.get("step_norm", "l2"),
+            )
+            filters.append(FilterSpec(kind, kernel))
         custom = data.pop("custom_model", None)
         if custom is not None:
             data["custom_model"] = StateSpaceModel(**custom)
-        known = {
-            "example", "noise_case", "runs", "steps", "master_seed", "theta", "dt",
-            "true_x0", "init_perturb_var", "p0_scale", "assumed_q", "assumed_r",
-            "custom_model",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigParseError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -396,148 +362,67 @@ class ExperimentResult:
         return [f.label for f in self.config.filters]
 
 
-def _reference_filter_run(fmodel, spec, x0_hat, p0, ys, collect_cov):
-    steps = ys.shape[0]
-    n = fmodel.n
-    est = np.full((steps, n), np.nan)
-    iters = np.zeros(steps, dtype=np.int32)
-    nonconv = 0
-    covs = np.full((steps, n, n), np.nan) if collect_cov else None
-    belief = GaussianBelief(x0_hat, p0)
-    for k in range(steps):
-        if spec.kind == "kf":
-            belief, _ = kf_update(fmodel, kf_predict(fmodel, belief), ys[k])
-        else:
-            belief, report = mckf_step(fmodel, belief, ys[k], spec.kernel)
-            iters[k] = report.iterations
-            nonconv += not report.converged
-        est[k] = belief.mean
-        if collect_cov:
-            covs[k] = belief.cov
+def _joseph(model, p, gain):
+    """Joseph-form covariance ``(I - K H) P (I - K H)' + K R K'``, symmetrized."""
+    ikh = np.eye(model.n) - gain @ model.H
+    cov = ikh @ p @ ikh.T + gain @ model.R @ gain.T
+    return (cov + cov.T) / 2.0
+
+
+def _reference_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
+    """One filter over every run, a run and a step at a time; ``kernel is None`` is the KF.
+
+    Each step composes the one-regression primitives: `kf_predict`,
+    `build_regression`, the KF's gain (`robust_gain` at unit weights) or the
+    MCKF's `fixed_point_iterate`, and `_joseph`.  A run that raises a
+    `RobustKFError` is left NaN, with no iterations.
+    """
+    runs, steps, n = x0_hats.shape[0], ys.shape[1], fmodel.n
+    est = np.full((runs, steps, n), np.nan)
+    iters = np.zeros((runs, steps), dtype=np.int32)
+    nonconv = np.zeros(runs, dtype=np.int32)
+    covs = np.full((runs, steps, n, n), np.nan) if collect_cov else None
+    unit = WeightMatrices(cx=np.ones(n), cy=np.ones(fmodel.m))
+    for run in range(runs):
+        belief = GaussianBelief(x0_hats[run], p0)
+        try:
+            for k in range(steps):
+                prior = kf_predict(fmodel, belief)
+                reg = build_regression(fmodel, prior, ys[run, k])
+                if kernel is None:
+                    gain = robust_gain(reg, unit)[0]
+                    x = prior.mean + gain @ (reg.y - fmodel.H @ prior.mean)
+                else:
+                    x, gain, report = fixed_point_iterate(reg, kernel)
+                    iters[run, k] = report.iterations
+                    nonconv[run] += not report.converged
+                belief = GaussianBelief(x, _joseph(fmodel, prior.cov, gain))
+                est[run, k] = belief.mean
+                if collect_cov:
+                    covs[run, k] = belief.cov
+        except RobustKFError:
+            est[run] = np.nan
+            iters[run] = nonconv[run] = 0
+            if collect_cov:
+                covs[run] = np.nan
     return est, iters, nonconv, covs
 
 
-def _mT(a):
-    """Transpose of each matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
-def _symmetrize(p):
-    return (p + _mT(p)) / 2.0
-
-
-def _solve(s, b):
-    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
-    if s.shape[-1] == 1:
-        return b / s
-    return np.linalg.solve(s, b)
-
-
-def _batch_gain(H, p, r):
-    """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
-    pht = p @ H.T
-    return _mT(_solve(_symmetrize(H @ pht + r), _mT(pht)))
-
-
-def _batched_fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
-    """Fixed-point solve of every run's correntropy update at one step.
-
-    Iterates the whitened prior residual ``u = B_p^-1 (x - x_pred)`` with
-    ``A = H B_p``: the residuals at ``u`` are ``e = [-u ; B_r^-1 (innovation
-    - A u)]``.  With the inverse floored kernel weights ``w_inv = 1 /
-    max(G_sigma(e), WEIGHT_FLOOR)``, split into ``(wx, wy)``, the next
-    iterate is ``u = wx A' z``, where ``S z = innovation`` and
-    ``S = A diag(wx) A' + B_r diag(wy) B_r'``.  This is
-    ``x = x_pred + K innovation`` with the reweighted gain ``K`` of
-    `fixed_point_iterate`, without forming ``K``.  Each trip works only on
-    the runs still iterating: a run leaves once its relative step is at most
-    ``epsilon`` or is NaN.
-
-    ``iters`` gains one per iteration of each run.  Returns the final
-    iterates ``x``, the ``w_inv`` of each run's last iteration and the
-    indices of the runs that hit the iteration cap.
-    """
-    runs, n = x_pred.shape
-    ord_ = 1 if kernel.step_norm == "l1" else 2
-    x = x_pred.copy()
-    w_inv_last = np.empty((runs, n + b_r.shape[0]))
-    active = np.arange(runs)
-    u = np.zeros((runs, n))
-    x_old = x_pred
-    for _ in range(kernel.max_iterations):
-        r = innovation - (a @ u[..., None])[..., 0]
-        e = np.concatenate([-u, (b_r_inv @ r[..., None])[..., 0]], axis=1)
-        w_inv = 1.0 / np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
-        s = (a * w_inv[:, None, :n]) @ _mT(a) + (b_r * w_inv[:, None, n:]) @ b_r.T
-        z = _solve(s, innovation[..., None])
-        u = w_inv[:, :n] * (_mT(a) @ z)[..., 0]
-        x_new = x_pred + (b_p @ u[..., None])[..., 0]
-        num = np.linalg.norm(x_new - x_old, ord=ord_, axis=1)
-        den = np.linalg.norm(x_old, ord=ord_, axis=1)
-        tiny = den < _STEP_NORM_GUARD
-        rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
-        iters[active] += 1
-        x[active] = x_new
-        w_inv_last[active] = w_inv
-        going = rel > kernel.epsilon
-        if not going.all():
-            active = active[going]
-            if active.size == 0:
-                break
-            a, b_p, x_pred, innovation, u, x_new = (
-                v[going] for v in (a, b_p, x_pred, innovation, u, x_new)
-            )
-        x_old = x_new
-    return x, w_inv_last, active
-
-
-def _batched_filter(fmodel, kernel, x0_hat, p0, ys, collect_cov):
-    """Run one filter over all runs at once; ``kernel is None`` is the KF.
-
-    Both filters share the predict step and the Joseph update.  The KF takes
-    the gain of the prior covariances.  The MCKF factors ``B_r = chol(R)``
-    and its inverse once per experiment, and ``B_p = chol(P_pred)``,
-    ``H B_p`` and the innovation once per step.  Its fixed-point loop
-    (`_batched_fixed_point`) then carries only the state and works only on
-    the runs still iterating.  After the loop the gain of the reweighted
-    covariances ``(P_w, R_w)`` is formed once, from each run's last weights;
-    it is the gain `fixed_point_iterate` returns, and the Joseph update uses
-    it.  Every product is per run (stacked ``@``, or ``einsum`` where
-    ``@`` would be one matrix product over all runs, whose rows BLAS
-    computes differently for a single run), so no run's numbers depend on
-    the batch.
-    """
+def _batched_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
+    """One filter over every run at once, `_filter_step` over all runs per step."""
     runs, steps, _ = ys.shape
     n = fmodel.n
-    F, H, Q, R = fmodel.F, fmodel.H, fmodel.Q, fmodel.R
-    eye = np.eye(n)
-    x = x0_hat.copy()
+    x = x0_hats.copy()
     p = np.broadcast_to(p0, (runs, n, n)).copy()
     est = np.empty((runs, steps, n))
     iters = np.zeros((runs, steps), dtype=np.int32)
     nonconv = np.zeros(runs, dtype=np.int32)
     covs = np.empty((runs, steps, n, n)) if collect_cov else None
-    if kernel is not None:
-        b_r = cholesky_stack(_symmetrize(R))
-        b_r_inv = np.linalg.solve(b_r, np.eye(fmodel.m))
+    factors = None if kernel is None else _measurement_factors(fmodel.R)
     for k in range(steps):
-        x_pred = np.einsum("ij,rj->ri", F, x)
-        p_pred = F @ p @ F.T + Q
-        innovation = ys[:, k] - np.einsum("ij,rj->ri", H, x_pred)
-        if kernel is None:
-            gain = _batch_gain(H, p_pred, R)
-            x = x_pred + (gain @ innovation[..., None])[..., 0]
-        else:
-            b_p = cholesky_stack(_symmetrize(p_pred))
-            x, w_inv, capped = _batched_fixed_point(
-                kernel, H @ b_p, b_p, b_r, b_r_inv, x_pred, innovation, iters[:, k]
-            )
-            nonconv[capped] += 1
-            p_w = (b_p * w_inv[:, None, :n]) @ _mT(b_p)
-            r_w = (b_r * w_inv[:, None, n:]) @ b_r.T
-            gain = _batch_gain(H, p_w, r_w)
-        ikh = eye - gain @ H
-        p = _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain))
+        x, p, _, fixed_point = _filter_step(fmodel, kernel, factors, x, p, ys[:, k], iters[:, k])
+        if fixed_point is not None:
+            nonconv[fixed_point[2]] += 1
         est[:, k] = x
         if collect_cov:
             covs[:, k] = p
@@ -556,10 +441,10 @@ def run_monte_carlo(
     config : ExperimentConfig
         Model, noise case, run/step counts, filter list and master seed.
     engine : {"batched", "reference"}
-        Execution strategy.  Both produce the same numbers; the reference
-        engine is built step by step on the public filter operations and
-        tolerates per-run numerical failures, the batched engine advances
-        all runs at once and is the fast default.
+        Execution strategy.  Both produce the same numbers and mark a run
+        that fails numerically failed; the reference engine steps through
+        the one-regression primitives run by run, the batched engine
+        advances all runs at once and is the fast default.
     collect_covariances : bool
         Also record the posterior covariance at every step (memory permitting).
     """
@@ -573,45 +458,26 @@ def run_monte_carlo(
     nfilters = len(config.filters)
     p0 = config.p0_scale * np.eye(n)
 
-    errors = np.full((nfilters, runs, steps, n), np.nan)
-    iterations = np.zeros((nfilters, runs, steps), dtype=np.int32)
-    nonconverged = np.zeros((nfilters, runs), dtype=np.int32)
-    failed = np.zeros((nfilters, runs), dtype=bool)
-    covariances = (
-        np.full((nfilters, runs, steps, n, n), np.nan) if collect_covariances else None
-    )
+    errors = np.empty((nfilters, runs, steps, n))
+    iterations = np.empty((nfilters, runs, steps), dtype=np.int32)
+    nonconverged = np.empty((nfilters, runs), dtype=np.int32)
+    failed = np.empty((nfilters, runs), dtype=bool)
+    covariances = np.empty((nfilters, runs, steps, n, n)) if collect_covariances else None
+    run_filter = _batched_filter if engine == "batched" else _reference_filter
 
     # A diverging run overflows to Inf and NaN; it is marked failed below,
     # so the floating-point warnings on the way there carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
         x0_hats, truths, ys = _generate(config, model, range(runs))
         for fi, spec in enumerate(config.filters):
-            if engine == "batched":
-                est, iters, nonconv, covs = _batched_filter(
-                    fmodel, spec.kernel, x0_hats, p0, ys, collect_covariances
-                )
-                bad = ~np.all(np.isfinite(est), axis=(1, 2))
-                failed[fi] = bad
-                est[bad] = np.nan
-                errors[fi] = est - truths
-                iterations[fi] = iters
-                nonconverged[fi] = nonconv
-                if collect_covariances:
-                    covariances[fi] = covs
-            else:
-                for run in range(runs):
-                    try:
-                        est, iters, nonconv, covs = _reference_filter_run(
-                            fmodel, spec, x0_hats[run], p0, ys[run], collect_covariances
-                        )
-                    except RobustKFError:
-                        failed[fi, run] = True
-                        continue
-                    errors[fi, run] = est - truths[run]
-                    iterations[fi, run] = iters
-                    nonconverged[fi, run] = nonconv
-                    if collect_covariances:
-                        covariances[fi, run] = covs
+            est, iterations[fi], nonconverged[fi], covs = run_filter(
+                fmodel, spec.kernel, x0_hats, p0, ys, collect_covariances
+            )
+            failed[fi] = ~np.all(np.isfinite(est), axis=(1, 2))
+            est[failed[fi]] = np.nan
+            errors[fi] = est - truths
+            if collect_covariances:
+                covariances[fi] = covs
 
     mse = np.empty((nfilters, n))
     avg_iterations = np.full(nfilters, np.nan)

@@ -6,9 +6,14 @@ import pytest
 from robustkf import (
     DimensionMismatch,
     EmptyInput,
+    ExperimentConfig,
     GaussianBelief,
     InvalidBandwidth,
     KernelConfig,
+    NonFinite,
+    NotPositiveDefinite,
+    NotSymmetric,
+    RobustKFError,
     StateSpaceModel,
     build_regression,
     compute_residuals,
@@ -17,6 +22,7 @@ from robustkf import (
     fixed_point_iterate,
     fixed_point_map,
     gaussian_kernel,
+    generate_run_data,
     kf_predict,
     kf_update,
     make_example1,
@@ -333,3 +339,64 @@ class TestMckfStep:
                     break
                 assert gap <= 0.5 * gap_prev * (1.0 + 1e-9)
                 x_prev, x, gap_prev = x, x_next, gap
+
+
+def _mckf_call(model, belief, y):
+    return mckf_step(model, belief, y, KernelConfig(sigma=2.0, epsilon=1e-6))
+
+
+def _kf_call(model, belief, y):
+    # The KF's full cycle, so that a diverging model diverges.
+    return kf_update(model, kf_predict(model, belief), y)
+
+
+#: The single-trajectory steps whose input checks are tested below.
+STEP_CALLS = {"mckf_step": _mckf_call, "kf_update": _kf_call}
+
+
+@pytest.mark.parametrize("name", STEP_CALLS)
+class TestStepBoundary:
+    def test_non_finite_measurement(self, name):
+        belief = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFinite):
+                STEP_CALLS[name](make_example1(), belief, [bad])
+
+    def test_wrong_measurement_length(self, name):
+        belief = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            STEP_CALLS[name](make_example1(), belief, [1.0, 2.0])
+
+    def test_wrong_belief_dimension(self, name):
+        belief = GaussianBelief([0.0, 0.0, 0.0], 0.01 * np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            STEP_CALLS[name](make_example1(), belief, [1.0])
+
+    def test_asymmetric_measurement_covariance(self, name):
+        model = StateSpaceModel(F=np.eye(2), H=np.eye(2), Q=0.01 * np.eye(2), R=[[1.0, 0.5], [0.0, 1.0]])
+        belief = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2))
+        with pytest.raises(NotSymmetric):
+            STEP_CALLS[name](model, belief, [1.0, 1.0])
+
+    def test_indefinite_measurement_covariance(self, name):
+        model = StateSpaceModel(F=np.eye(2), H=np.eye(2), Q=0.01 * np.eye(2), R=np.diag([1.0, -1.0]))
+        belief = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            STEP_CALLS[name](model, belief, [1.0, 1.0])
+
+    def test_diverging_model_raises(self, name):
+        # |50^k| overflows long before step 400, in the truths and the filter alike.
+        model = StateSpaceModel(
+            F=np.diag([50.0, 1.0]), H=[[1.0, 1.0]], Q=0.01 * np.eye(2), R=[[0.01]]
+        )
+        config = ExperimentConfig(
+            example="custom", custom_model=model, true_x0=(0.0, 0.0), runs=1, steps=400,
+            noise_case="impulsive-measurement", master_seed=11,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = generate_run_data(config, 0)
+            belief = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(2))
+            fmodel = config.filter_model()
+            with pytest.raises(RobustKFError):
+                for y in data.measurements:
+                    belief, _ = STEP_CALLS[name](fmodel, belief, y)

@@ -14,7 +14,6 @@ from robustkf import (
     StateSpaceModel,
     make_example1,
     make_example2,
-    propagate_truth,
     sample_mixture,
     sample_mixture_sequence,
     validate_model,
@@ -119,45 +118,3 @@ class TestMixtureNoiseSpec:
             np.testing.assert_array_equal(
                 block[i], sample_mixture_sequence(spec, 7, RandomStream(int(seed)))
             )
-
-
-class TestPropagateTruth:
-    def test_zero_noise_identity_dynamics(self):
-        model = StateSpaceModel(F=np.eye(2), H=[[1.0, 1.0]], Q=np.zeros((2, 2)), R=[[0.01]])
-        zero2 = MixtureNoiseSpec.gaussian(2, 0.0)
-        zero1 = MixtureNoiseSpec.gaussian(1, 0.0)
-        x = np.array([0.3, -0.7])
-        x_next, y = propagate_truth(model, x, zero2, zero1, RandomStream(5))
-        np.testing.assert_array_equal(x_next, x)
-        np.testing.assert_allclose(y, model.H @ x)
-
-    def test_quarter_turn_rotation(self):
-        model = make_example1(theta=math.pi / 2)
-        zero2 = MixtureNoiseSpec.gaussian(2, 0.0)
-        zero1 = MixtureNoiseSpec.gaussian(1, 0.0)
-        x_next, _ = propagate_truth(model, [1.0, 0.0], zero2, zero1, RandomStream(5))
-        np.testing.assert_allclose(x_next, [0.0, 1.0], atol=1e-15)
-
-    def test_accelerating_chain_step(self):
-        model = make_example2(dt=0.1)
-        zero3 = MixtureNoiseSpec.gaussian(3, 0.0)
-        zero1 = MixtureNoiseSpec.gaussian(1, 0.0)
-        x_next, y = propagate_truth(model, [0.0, 0.0, 1.0], zero3, zero1, RandomStream(5))
-        np.testing.assert_allclose(x_next, [0.0, 0.1, 1.0])
-        np.testing.assert_allclose(y, [0.1])
-
-    def test_zero_noise_propagation_is_linear(self, rng):
-        model = make_example1()
-        zero2 = MixtureNoiseSpec.gaussian(2, 0.0)
-        zero1 = MixtureNoiseSpec.gaussian(1, 0.0)
-        x = rng.standard_normal(2)
-        one, _ = propagate_truth(model, x, zero2, zero1, RandomStream(5))
-        scaled, _ = propagate_truth(model, 3.0 * x, zero2, zero1, RandomStream(5))
-        np.testing.assert_allclose(scaled, 3.0 * one, rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        model = make_example1()
-        zero2 = MixtureNoiseSpec.gaussian(2, 0.0)
-        zero1 = MixtureNoiseSpec.gaussian(1, 0.0)
-        with pytest.raises(DimensionMismatch):
-            propagate_truth(model, [1.0, 2.0, 3.0], zero2, zero1, RandomStream(5))

@@ -5,18 +5,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import robustkf.mckf
 import robustkf.sim
 from robustkf import (
     EmptyInput,
     RandomStream,
     ExperimentConfig,
     FilterSpec,
+    GaussianBelief,
     KernelConfig,
     StateSpaceModel,
+    build_regression,
     error_density,
+    fixed_point_iterate,
     generate_run_data,
+    kf_predict,
     make_example1,
     make_example2,
+    mckf_step,
     noise_specs,
     run_monte_carlo,
     substream_seed,
@@ -327,6 +333,39 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(narrow.errors, wide.errors[:, :width])
         np.testing.assert_array_equal(narrow.iterations, wide.iterations[:, :width])
 
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_mckf_step_is_the_engine_step(self, case):
+        # Bit for bit: mckf_step runs the engine's step on a batch of one run.
+        config = small_config(**ENGINE_CASES[case])
+        fi = next(i for i, f in enumerate(config.filters) if f.kind == "mckf")
+        kernel = config.filters[fi].kernel
+        result = run_monte_carlo(config)
+        fmodel = config.filter_model()
+        for run in range(3):
+            data = generate_run_data(config, run)
+            belief = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(fmodel.n))
+            est = np.empty_like(data.truths)
+            iters = np.empty(config.steps, dtype=result.iterations.dtype)
+            for k, y in enumerate(data.measurements):
+                reg = build_regression(fmodel, kf_predict(fmodel, belief), y)
+                _, _, oracle = fixed_point_iterate(reg, kernel)
+                belief, report = mckf_step(fmodel, belief, y, kernel)
+                est[k], iters[k] = belief.mean, report.iterations
+                assert (report.iterations, report.converged) == (oracle.iterations, oracle.converged)
+                for got, want in (
+                    (report.final_weights.cx, oracle.final_weights.cx),
+                    (report.final_weights.cy, oracle.final_weights.cy),
+                ):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                # The last step is a difference of two nearly equal iterates,
+                # each rounded to about eps * |x|, and it is divided by |x|:
+                # the two forms' rounding enters it as an absolute ~eps.
+                np.testing.assert_allclose(
+                    report.last_relative_step, oracle.last_relative_step, rtol=1e-12, atol=1e-15
+                )
+            np.testing.assert_array_equal(est - data.truths, result.errors[fi, run])
+            np.testing.assert_array_equal(iters, result.iterations[fi, run])
+
     def test_kernel_evaluated_once_per_iteration(self, monkeypatch):
         rows = []
 
@@ -334,7 +373,7 @@ class TestBatchedEngine:
             rows.append(len(e))
             return gaussian_kernel(e, sigma)
 
-        monkeypatch.setattr(robustkf.sim, "gaussian_kernel", counting_kernel)
+        monkeypatch.setattr(robustkf.mckf, "gaussian_kernel", counting_kernel)
         result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
         assert sum(rows) == result.iterations[1].sum()
 
