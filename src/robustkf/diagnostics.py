@@ -11,8 +11,11 @@ in the ball converges to the unique fixed point there.
 
 ``sigma_star`` solves ``phi(sigma) = beta`` and ``sigma_dagger`` solves
 ``psi(sigma) = alpha``.  Both functions are monotone nonincreasing in the
-bandwidth (kernel weights only grow with it), so the roots are found by a
-geometric bracket scan plus bisection.
+bandwidth (kernel weights only grow with it).  Both are evaluated on a
+geometric grid in one stacked scan, and each root is then bisected inside
+the first grid cell that reaches its target.  The public `zeta`,
+`phi_sigma` and `psi_sigma` run the same code on one bandwidth, so a
+certified bandwidth satisfies them exactly.
 
 The module also provides the analytic Jacobian of the fixed-point map and
 closed-form floating-point operation counts for both filters.
@@ -30,15 +33,15 @@ from .errors import (
     BracketNotFound,
     SingularDesign,
 )
-from .mckf import WEIGHT_FLOOR, AugmentedRegression, gaussian_kernel, weighted_qr_map
-from .numerics import induced_l1_norm, min_eigenvalue_symmetric
+from .mckf import WEIGHT_FLOOR, AugmentedRegression, weighted_qr_map
 
 #: Bandwidth search range for certificate roots.
 SIGMA_SEARCH_RANGE = (1e-6, 1e9)
 #: Geometric grid density for the bracket scan.
 GRID_POINTS_PER_DECADE = 40
-#: Bisection refinements after a bracket is found.
-BISECTION_STEPS = 80
+_DECADES = math.log10(SIGMA_SEARCH_RANGE[1] / SIGMA_SEARCH_RANGE[0])
+#: The bracket-scan grid, shared by both roots of every certificate.
+_SIGMA_GRID = np.geomspace(*SIGMA_SEARCH_RANGE, int(_DECADES * GRID_POINTS_PER_DECADE) + 1)
 
 
 @dataclass(frozen=True)
@@ -57,15 +60,52 @@ class ConvergenceCertificate:
     sigma_min: float
 
 
-def _row_data(reg: AugmentedRegression):
-    w_abs_sum = np.sum(np.abs(reg.W), axis=1)
+def _bound_parts(reg: AugmentedRegression, beta: float):
+    """The bandwidth-free parts of the bounds, formed once per snapshot.
+
+    Returns the worst-case residual radii ``beta ||w_i||_1 + |d_i|`` and the
+    numerators of `phi_sigma` and `psi_sigma`; in the latter,
+    ``||w_i' w_i||_1 = ||w_i||_1 max_j |w_ij|`` and ``||w_i d_i||_1 = |d_i| ||w_i||_1``.
+    """
+    w_abs = np.abs(reg.W)
+    w_abs_sum = np.sum(w_abs, axis=1)
     d_abs = np.abs(reg.D)
-    return w_abs_sum, d_abs
+    radii = beta * w_abs_sum + d_abs
+    terms = radii * w_abs_sum * (beta * w_abs_sum * np.max(w_abs, axis=1) + d_abs * w_abs_sum)
+    root_n = math.sqrt(reg.n)
+    return radii, root_n * float(w_abs_sum @ d_abs), root_n * float(np.sum(terms))
 
 
-def _weighted_gram_min_eig(reg: AugmentedRegression, kernel_weights) -> float:
-    gram = reg.W.T @ (np.asarray(kernel_weights)[:, None] * reg.W)
-    return min_eigenvalue_symmetric((gram + gram.T) / 2.0)
+def _bounds(reg: AugmentedRegression, parts, sigmas: np.ndarray):
+    """``phi`` and ``psi`` at each bandwidth of ``sigmas``, NaN where singular.
+
+    ``lambda_min(W' C W)`` is the squared smallest singular value of
+    ``C^½ W``, one stacked SVD for all bandwidths, and 0 (singular) where
+    the smallest singular value is at most ``L * eps`` times the largest,
+    the tolerance of `weighted_qr_map`.  Kernel weights underflow at small
+    bandwidths, so the warnings of dividing by that 0 are expected and
+    suppressed.
+    """
+    radii, phi_num, psi_num = parts
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = np.exp(-(radii * radii) / (2.0 * sigmas * sigmas)[:, None])
+        s = np.linalg.svd(np.sqrt(weights)[:, :, None] * reg.W, compute_uv=False)
+        s_min = s[:, -1]
+        lam = np.where(s_min > reg.L * np.finfo(float).eps * s[:, 0], s_min * s_min, 0.0)
+        psi_den = sigmas * sigmas * lam
+        phi = np.where(lam > 0.0, phi_num / lam, np.nan)
+        psi = np.where(psi_den > 0.0, psi_num / psi_den, np.nan)
+    return phi, psi
+
+
+def _bound_at(reg: AugmentedRegression, beta: float, sigma: float, which: int, name: str) -> float:
+    sigma = float(sigma)
+    if not sigma > 0:
+        raise ValueError("sigma must be > 0")
+    value = float(_bounds(reg, _bound_parts(reg, beta), np.array([sigma]))[which][0])
+    if math.isnan(value):
+        raise SingularDesign(f"{name}: weighted Gram matrix is singular")
+    return value
 
 
 def zeta(reg: AugmentedRegression) -> float:
@@ -75,11 +115,7 @@ def zeta(reg: AugmentedRegression) -> float:
     the unweighted Gram matrix ``sum_i w_i' w_i``.  Any certified ball radius
     must exceed this value.
     """
-    w_abs_sum, d_abs = _row_data(reg)
-    lam = _weighted_gram_min_eig(reg, np.ones(reg.L))
-    if lam <= 0.0:
-        raise SingularDesign("zeta: design Gram matrix is singular")
-    return math.sqrt(reg.n) * float(w_abs_sum @ d_abs) / lam
+    return _bound_at(reg, 0.0, math.inf, 0, "zeta")  # unit kernel weights
 
 
 def phi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
@@ -90,15 +126,7 @@ def phi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
     ``beta ||w_i||_1 + |d_i|``.  Nonincreasing in ``sigma`` and tending to
     `zeta` as the bandwidth grows.
     """
-    sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    w_abs_sum, d_abs = _row_data(reg)
-    radii = beta * w_abs_sum + d_abs
-    lam = _weighted_gram_min_eig(reg, gaussian_kernel(radii, sigma))
-    if lam <= 0.0:
-        raise SingularDesign("phi_sigma: weighted Gram matrix is singular")
-    return math.sqrt(reg.n) * float(w_abs_sum @ d_abs) / lam
+    return _bound_at(reg, beta, sigma, 0, "phi_sigma")
 
 
 def psi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
@@ -108,69 +136,37 @@ def psi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
     ``psi(sigma) = alpha`` exists for any ``alpha`` in (0, 1) whenever the
     numerator is nonzero.
     """
-    sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    w_abs_sum, d_abs = _row_data(reg)
-    radii = beta * w_abs_sum + d_abs
-    terms = 0.0
-    for i in range(reg.L):
-        w_i = reg.W[i]
-        gram_row = np.outer(w_i, w_i)
-        terms += (
-            radii[i]
-            * w_abs_sum[i]
-            * (beta * induced_l1_norm(gram_row) + induced_l1_norm(w_i * reg.D[i]))
-        )
-    lam = _weighted_gram_min_eig(reg, gaussian_kernel(radii, sigma))
-    den = sigma * sigma * lam
-    if lam <= 0.0 or den <= 0.0:
-        raise SingularDesign("psi_sigma: weighted Gram matrix is singular")
-    try:
-        return math.sqrt(reg.n) * float(terms) / den
-    except OverflowError:
-        return math.inf
+    return _bound_at(reg, beta, sigma, 1, "psi_sigma")
 
 
-def _find_root(fn, target: float, name: str) -> float:
+def _find_root(fn, on_grid: np.ndarray, target: float, name: str) -> float:
     """Smallest-bandwidth root of ``fn(sigma) = target`` for nonincreasing fn.
 
-    Scans a geometric grid for a sign change of ``fn - target`` (treating
-    singular evaluations as +inf, which happens when kernel weights underflow
-    at tiny bandwidths), then bisects.  If the function is already at or
-    below the target at the left edge of the range, the left edge is
-    returned: the certificate condition then holds for every bandwidth in
-    the search range.
+    ``fn`` maps an array of bandwidths to values, NaN (counted as +inf)
+    where singular; ``on_grid`` holds its values on the bracket-scan grid.
+    The first grid cell that reaches the target is bisected until the
+    midpoint equals an end, after which no step would move either end.  If
+    the left edge of the range already reaches the target, it is returned:
+    the condition then holds on the whole search range.
     """
-
-    def gap(sigma: float) -> float:
-        try:
-            return fn(sigma) - target
-        except SingularDesign:
-            return math.inf
-
-    lo_edge, hi_edge = SIGMA_SEARCH_RANGE
-    decades = math.log10(hi_edge / lo_edge)
-    grid = np.geomspace(lo_edge, hi_edge, int(decades * GRID_POINTS_PER_DECADE) + 1)
-    prev_sigma = grid[0]
-    prev_gap = gap(prev_sigma)
-    if prev_gap <= 0.0:
-        return float(prev_sigma)
-    for sigma in grid[1:]:
-        g = gap(sigma)
-        if g <= 0.0:
-            lo, hi = prev_sigma, sigma
-            for _ in range(BISECTION_STEPS):
-                mid = math.sqrt(lo * hi)
-                if gap(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return float(hi)
-        prev_sigma, prev_gap = sigma, g
-    raise BracketNotFound(
-        f"{name}: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
-    )
+    reached = np.flatnonzero(on_grid <= target)
+    if reached.size == 0:
+        lo_edge, hi_edge = SIGMA_SEARCH_RANGE
+        raise BracketNotFound(
+            f"{name}: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
+        )
+    k = int(reached[0])
+    if k == 0:
+        return float(_SIGMA_GRID[0])
+    lo, hi = float(_SIGMA_GRID[k - 1]), float(_SIGMA_GRID[k])
+    while True:
+        mid = math.sqrt(lo * hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if fn(np.array([mid]))[0] <= target:
+            hi = mid
+        else:
+            lo = mid
 
 
 def sufficient_sigma(
@@ -199,8 +195,10 @@ def sufficient_sigma(
     z = zeta(reg)
     if beta <= z:
         raise BetaTooSmall(f"beta={beta:g} must exceed zeta={z:g}")
-    sigma_star = _find_root(lambda s: phi_sigma(reg, beta, s), beta, "phi root")
-    sigma_dagger = _find_root(lambda s: psi_sigma(reg, beta, s), alpha, "psi root")
+    parts = _bound_parts(reg, beta)
+    phi_grid, psi_grid = _bounds(reg, parts, _SIGMA_GRID)  # one scan serves both roots
+    sigma_star = _find_root(lambda s: _bounds(reg, parts, s)[0], phi_grid, beta, "phi root")
+    sigma_dagger = _find_root(lambda s: _bounds(reg, parts, s)[1], psi_grid, alpha, "psi root")
     return ConvergenceCertificate(
         beta=float(beta),
         alpha=float(alpha),

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from robustkf import (
     BetaTooSmall,
+    BracketNotFound,
     GaussianBelief,
     SingularDesign,
     StateSpaceModel,
@@ -19,6 +21,7 @@ from robustkf import (
     sufficient_sigma,
     zeta,
 )
+from robustkf.diagnostics import _SIGMA_GRID, _bound_parts, _bounds
 from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression
 from conftest import random_regression
 
@@ -82,6 +85,31 @@ def hand_regression(W, D):
     )
 
 
+def plain_root(fn, target):
+    """Bracket scan and 80 geometric bisection steps, one bandwidth at a time."""
+
+    def gap(sigma):
+        try:
+            return fn(sigma) - target
+        except SingularDesign:
+            return math.inf
+
+    grid = _SIGMA_GRID
+    if gap(grid[0]) <= 0.0:
+        return float(grid[0])
+    for prev, sigma in zip(grid, grid[1:]):
+        if gap(sigma) <= 0.0:
+            lo, hi = prev, sigma
+            for _ in range(80):
+                mid = math.sqrt(lo * hi)
+                if gap(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return float(hi)
+    raise BracketNotFound("no bracket")
+
+
 def finite_difference_jacobian(reg, x, sigma, step=1e-6):
     n = x.size
     jac = np.empty((n, n))
@@ -107,6 +135,17 @@ class TestZeta:
         assert zeta(unit_scalar_regression(2.0, 2.0)) == pytest.approx(
             2.0 * zeta(unit_scalar_regression(1.0, 1.0))
         )
+
+    def test_ill_conditioned_full_rank_design(self):
+        # cond(W) is about 2.8e9, so lambda_min(W'W) is about 1e-18: below
+        # the rounding of the Gram matrix, but W itself has full rank.
+        reg = hand_regression(
+            [[1.0, 1.0], [1.0, 1.0 + 1e-9], [1.0, 1.0 - 1e-9], [1.0, 1.0]], [0.1, 0.2, 0.0, 0.3]
+        )
+        s = np.linalg.svd(reg.W, compute_uv=False)
+        assert s[0] / s[-1] > 1e9
+        num = math.sqrt(2) * float(np.sum(np.abs(reg.W), axis=1) @ np.abs(reg.D))
+        assert zeta(reg) == pytest.approx(num / s[-1] ** 2, rel=1e-9)
 
 
 class TestPhi:
@@ -231,6 +270,42 @@ class TestSufficientSigma:
             assert float(np.max(np.abs(lim - limits[0]))) <= 1e-8
 
 
+class TestRootScan:
+    def test_stacked_bounds_equal_public_bounds(self, rng):
+        grid = _SIGMA_GRID
+        for _ in range(3):
+            reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            phi, psi = _bounds(reg, _bound_parts(reg, beta), grid)
+            assert np.isnan(phi).any() and np.isfinite(phi).any()
+            for sigma, phi_k, psi_k in zip(grid, phi, psi):
+                for public, stacked in ((phi_sigma, phi_k), (psi_sigma, psi_k)):
+                    if np.isnan(stacked):
+                        with pytest.raises(SingularDesign):
+                            public(reg, beta, sigma)
+                    else:
+                        assert public(reg, beta, sigma) == stacked
+
+    def test_roots_equal_plain_bisection(self, rng):
+        for _ in range(4):
+            reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            cert = sufficient_sigma(reg, beta, 0.5)
+            assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
+            assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), 0.5)
+
+    def test_no_floating_point_warnings(self):
+        # Kernel weights underflow at small bandwidths, and the bounds then
+        # divide by a zero lambda_min.
+        rng = np.random.default_rng(808)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(25):
+                reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+                beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+                sufficient_sigma(reg, beta, 0.5)
+
+
 class TestJacobian:
     def test_zero_residuals_give_zero_jacobian(self, rng):
         base = random_regression(rng, 3, 2)
@@ -288,6 +363,12 @@ class TestJacobian:
             jacobian_f(reg, np.zeros(2), 1.5)
         with pytest.raises(SingularDesign):
             fixed_point_map(reg, np.zeros(2), 1.5)
+        with pytest.raises(SingularDesign):
+            zeta(reg)
+        with pytest.raises(SingularDesign):
+            phi_sigma(reg, 1.0, 1.5)
+        with pytest.raises(SingularDesign):
+            psi_sigma(reg, 1.0, 1.5)
 
 
 class TestFlopCounts:
