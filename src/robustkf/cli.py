@@ -181,6 +181,16 @@ def _experiment_from_args(ns) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+def _checked_call(fn, *args):
+    """Call ``fn``; a `ValueError` from its argument checks is a configuration error."""
+    try:
+        return fn(*args)
+    except RobustKFError:
+        raise
+    except ValueError as exc:
+        raise ConfigParseError(str(exc)) from None
+
+
 def _check_failures(result) -> int:
     """Report per-run failures; exit code 2 only when a filter lost every run."""
     status = 0
@@ -296,7 +306,7 @@ def _cmd_diagnose(ns) -> int:
     # Default ball radius: a documented heuristic, twice the larger of the
     # intrinsic bound and the prior-mean 1-norm.
     beta = ns.beta if ns.beta is not None else 2.0 * max(z, float(np.sum(np.abs(prior.mean))))
-    cert = sufficient_sigma(reg, beta, ns.alpha)
+    cert = _checked_call(sufficient_sigma, reg, beta, ns.alpha)
     if ns.format == "json":
         print(json.dumps({
             "alpha": cert.alpha,
@@ -321,7 +331,7 @@ def _cmd_diagnose(ns) -> int:
 
 
 def _cmd_flops(ns) -> int:
-    counts = flop_counts(ns.n, ns.m, ns.t)
+    counts = _checked_call(flop_counts, ns.n, ns.m, ns.t)
     print(f"n={ns.n} m={ns.m} T={ns.t}")
     print(f"KF multiply-adds per step:   {counts.kf} (+ {' + '.join(counts.kf_o_terms)})")
     print(f"MCKF multiply-adds per step: {counts.mckf} (+ {' + '.join(counts.mckf_o_terms)})")

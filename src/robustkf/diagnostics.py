@@ -13,7 +13,9 @@ in the ball converges to the unique fixed point there.
 ``psi(sigma) = alpha``.  Both functions are monotone nonincreasing in the
 bandwidth (kernel weights only grow with it).  Both are evaluated on a
 geometric grid in one stacked scan, and each root is then bisected inside
-the first grid cell that reaches its target.  The public `zeta`,
+the first grid cell that reaches its target.  The two bisections advance
+together, three levels of each bisection tree per stacked evaluation, and
+return the floats of bisecting one midpoint at a time.  The public `zeta`,
 `phi_sigma` and `psi_sigma` run the same code on one bandwidth, so a
 certified bandwidth satisfies them exactly.
 
@@ -42,6 +44,8 @@ GRID_POINTS_PER_DECADE = 40
 _DECADES = math.log10(SIGMA_SEARCH_RANGE[1] / SIGMA_SEARCH_RANGE[0])
 #: The bracket-scan grid, shared by both roots of every certificate.
 _SIGMA_GRID = np.geomspace(*SIGMA_SEARCH_RANGE, int(_DECADES * GRID_POINTS_PER_DECADE) + 1)
+#: Bisection levels per stacked call: ``2**_TREE_LEVELS - 1`` midpoints per open root.
+_TREE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,16 @@ def _bound_parts(reg: AugmentedRegression, beta: float):
     Returns the worst-case residual radii ``beta ||w_i||_1 + |d_i|`` and the
     numerators of `phi_sigma` and `psi_sigma`; in the latter,
     ``||w_i' w_i||_1 = ||w_i||_1 max_j |w_ij|`` and ``||w_i d_i||_1 = |d_i| ||w_i||_1``.
+    A huge ``beta`` overflows these to inf, where no bandwidth is certified.
     """
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
     w_abs = np.abs(reg.W)
     w_abs_sum = np.sum(w_abs, axis=1)
     d_abs = np.abs(reg.D)
-    radii = beta * w_abs_sum + d_abs
-    terms = radii * w_abs_sum * (beta * w_abs_sum * np.max(w_abs, axis=1) + d_abs * w_abs_sum)
+    with np.errstate(over="ignore"):
+        radii = beta * w_abs_sum + d_abs
+        terms = radii * w_abs_sum * (beta * w_abs_sum * np.max(w_abs, axis=1) + d_abs * w_abs_sum)
     root_n = math.sqrt(reg.n)
     return radii, root_n * float(w_abs_sum @ d_abs), root_n * float(np.sum(terms))
 
@@ -139,34 +147,51 @@ def psi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
     return _bound_at(reg, beta, sigma, 1, "psi_sigma")
 
 
-def _find_root(fn, on_grid: np.ndarray, target: float, name: str) -> float:
-    """Smallest-bandwidth root of ``fn(sigma) = target`` for nonincreasing fn.
+def _find_roots(reg: AugmentedRegression, parts, targets: tuple[float, float]) -> list[float]:
+    """Smallest-bandwidth roots of ``phi = targets[0]`` and ``psi = targets[1]``.
 
-    ``fn`` maps an array of bandwidths to values, NaN (counted as +inf)
-    where singular; ``on_grid`` holds its values on the bracket-scan grid.
-    The first grid cell that reaches the target is bisected until the
-    midpoint equals an end, after which no step would move either end.  If
-    the left edge of the range already reaches the target, it is returned:
-    the condition then holds on the whole search range.
+    Both bounds are nonincreasing, NaN (counted as +inf) where singular.
+    Each root is bracketed by the first grid cell that reaches its target,
+    or is the left edge if that already does (the condition then holds on
+    the whole range).  Each round evaluates, in one `_bounds` call, the
+    midpoints ``sqrt(lo * hi)`` of the next `_TREE_LEVELS` levels of every
+    open bisection tree, in heap order, then walks each tree down the half
+    that reaches the target.  A walk ends at ``hi`` once a midpoint equals
+    an end, as bisecting one midpoint at a time does, on the same floats.
     """
-    reached = np.flatnonzero(on_grid <= target)
-    if reached.size == 0:
-        lo_edge, hi_edge = SIGMA_SEARCH_RANGE
-        raise BracketNotFound(
-            f"{name}: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
-        )
-    k = int(reached[0])
-    if k == 0:
-        return float(_SIGMA_GRID[0])
-    lo, hi = float(_SIGMA_GRID[k - 1]), float(_SIGMA_GRID[k])
-    while True:
-        mid = math.sqrt(lo * hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if fn(np.array([mid]))[0] <= target:
-            hi = mid
-        else:
-            lo = mid
+    brackets = []  # [lo, hi], with lo None once hi is the root
+    for on_grid, target, name in zip(_bounds(reg, parts, _SIGMA_GRID), targets, ("phi", "psi")):
+        reached = np.flatnonzero(on_grid <= target)
+        if reached.size == 0:
+            lo_edge, hi_edge = SIGMA_SEARCH_RANGE
+            raise BracketNotFound(
+                f"{name} root: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
+            )
+        k = int(reached[0])
+        brackets.append([float(_SIGMA_GRID[k - 1]) if k else None, float(_SIGMA_GRID[k])])
+    nodes = 2**_TREE_LEVELS - 1
+    while open_roots := [j for j in (0, 1) if brackets[j][0] is not None]:
+        trees = []
+        for j in open_roots:
+            ends, mids = [tuple(brackets[j])], []
+            for i in range(nodes):  # heap order: node i has children 2i+1 and 2i+2
+                lo, hi = ends[i]
+                mids.append(math.sqrt(lo * hi))
+                ends += [(lo, mids[-1]), (mids[-1], hi)]
+            trees.append(mids)
+        values = _bounds(reg, parts, np.concatenate(trees))
+        for slot, (j, mids) in enumerate(zip(open_roots, trees)):
+            below = values[j][slot * nodes : (slot + 1) * nodes] <= targets[j]
+            (lo, hi), node = brackets[j], 0
+            for _ in range(_TREE_LEVELS):
+                mid, left = mids[node], below[node]
+                if mid <= lo or mid >= hi:
+                    lo = None
+                    break
+                lo, hi = (lo, mid) if left else (mid, hi)
+                node = 2 * node + (1 if left else 2)
+            brackets[j] = [lo, hi]
+    return [hi for _, hi in brackets]
 
 
 def sufficient_sigma(
@@ -185,6 +210,8 @@ def sufficient_sigma(
 
     Raises
     ------
+    ValueError
+        If ``alpha`` is outside (0, 1) or ``beta`` is not finite.
     BetaTooSmall
         If ``beta <= zeta(reg)``.
     BracketNotFound
@@ -192,13 +219,11 @@ def sufficient_sigma(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    parts = _bound_parts(reg, beta)  # rejects a non-finite beta before any SVD
     z = zeta(reg)
     if beta <= z:
         raise BetaTooSmall(f"beta={beta:g} must exceed zeta={z:g}")
-    parts = _bound_parts(reg, beta)
-    phi_grid, psi_grid = _bounds(reg, parts, _SIGMA_GRID)  # one scan serves both roots
-    sigma_star = _find_root(lambda s: _bounds(reg, parts, s)[0], phi_grid, beta, "phi root")
-    sigma_dagger = _find_root(lambda s: _bounds(reg, parts, s)[1], psi_grid, alpha, "psi root")
+    sigma_star, sigma_dagger = _find_roots(reg, parts, (beta, alpha))
     return ConvergenceCertificate(
         beta=float(beta),
         alpha=float(alpha),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from robustkf import NonFinite
 from robustkf.cli import _write_table, run_cli
 
 
@@ -34,6 +35,30 @@ class TestFlops:
 
     def test_missing_flag_is_config_error(self):
         assert run_cli(["flops", "--n", "2", "--m", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagnose", "--alpha", "2"],
+        ["diagnose", "--beta", "nan"],
+        ["flops", "--n", "0", "--m", "1", "--t", "1"],
+    ],
+)
+def test_bad_argument_is_config_error(capsys, args):
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_non_finite_input_stays_a_numerical_failure(monkeypatch, capsys):
+    # NonFinite is also a ValueError, but it is no argument error.
+    def raise_non_finite(*args):
+        raise NonFinite("x: non-finite entries are not admitted")
+
+    monkeypatch.setattr("robustkf.cli.flop_counts", raise_non_finite)
+    assert run_cli(["flops", "--n", "2", "--m", "1", "--t", "2"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -293,6 +294,60 @@ class TestRootScan:
             cert = sufficient_sigma(reg, beta, 0.5)
             assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
             assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), 0.5)
+
+    def test_both_roots_at_left_edge(self, rng):
+        # With D = 0 phi vanishes, and a tiny ball keeps psi tiny at the edge.
+        base = random_regression(rng, 2, 2)
+        reg = dataclasses.replace(base, D=np.zeros_like(base.D))
+        cert = sufficient_sigma(reg, 1e-12, 0.5)
+        assert cert.sigma_star == cert.sigma_dagger == _SIGMA_GRID[0]
+        assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, 1e-12, s), 1e-12)
+        assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, 1e-12, s), 0.5)
+
+    def test_one_root_at_left_edge_while_other_is_bisected(self, rng):
+        # At a tiny scale the weights are 1 on the whole grid, so phi is
+        # within a hair of zeta from the left edge on; a small alpha keeps
+        # psi's root inside the range.
+        base = random_regression(rng, 2, 2)
+        reg = dataclasses.replace(base, D=base.D * 1e-9)
+        beta, alpha = 2.0 * zeta(reg), 1e-6
+        cert = sufficient_sigma(reg, beta, alpha)
+        assert cert.sigma_star == _SIGMA_GRID[0] < cert.sigma_dagger
+        assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
+        assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), alpha)
+
+    def test_no_root_in_search_range(self, rng):
+        # Residual radii near 1e12 underflow every kernel weight on the grid.
+        base = random_regression(rng, 2, 2)
+        reg = dataclasses.replace(base, D=base.D * 1e12)
+        beta = 2.0 * zeta(reg)
+        with pytest.raises(BracketNotFound):
+            plain_root(lambda s: phi_sigma(reg, beta, s), beta)
+        with pytest.raises(BracketNotFound, match="phi root"):
+            sufficient_sigma(reg, beta, 0.5)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected_before_any_svd(self, rng, monkeypatch, beta):
+        reg = random_regression(rng, 2, 1)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for call in (
+            lambda: sufficient_sigma(reg, beta, 0.5),
+            lambda: phi_sigma(reg, beta, 1.0),
+            lambda: psi_sigma(reg, beta, 1.0),
+        ):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                call()
+
+    def test_huge_beta_finds_no_root_without_warnings(self, rng):
+        reg = random_regression(rng, 2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketNotFound):
+                sufficient_sigma(reg, 1e300, 0.5)
 
     def test_no_floating_point_warnings(self):
         # Kernel weights underflow at small bandwidths, and the bounds then
