@@ -278,6 +278,8 @@ def _write_experiment_tables(ns, result, densities: bool) -> None:
 
 def _cmd_experiment(ns) -> int:
     """``simulate`` and ``bench``: they differ only in ``ns.densities``."""
+    if ns.densities and ns.bins < 2:
+        raise ConfigParseError("--bins must be >= 2")
     config = _experiment_from_args(ns)
     result = run_monte_carlo(config)
     status = _check_failures(result)

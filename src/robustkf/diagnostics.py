@@ -11,11 +11,12 @@ in the ball converges to the unique fixed point there.
 
 ``sigma_star`` solves ``phi(sigma) = beta`` and ``sigma_dagger`` solves
 ``psi(sigma) = alpha``.  Both functions are monotone nonincreasing in the
-bandwidth (kernel weights only grow with it).  Both are evaluated on a
-geometric grid in one stacked scan, and each root is then bisected inside
-the first grid cell that reaches its target.  The two bisections advance
-together, three levels of each bisection tree per stacked evaluation, and
-return the floats of bisecting one midpoint at a time.  The public `zeta`,
+bandwidth (kernel weights only grow with it), so each root is bracketed by
+the first cell of a geometric grid that reaches its target, found by a
+coarse scan and then a fine one, and bisected there.  The two bisections
+advance together: one stacked evaluation holds a path of midpoints per root
+toward an interpolated root, and replaying the serial bisection on it gives
+the floats of bisecting one midpoint at a time.  The public `zeta`,
 `phi_sigma` and `psi_sigma` run the same code on one bandwidth, so a
 certified bandwidth satisfies them exactly.
 
@@ -44,8 +45,10 @@ GRID_POINTS_PER_DECADE = 40
 _DECADES = math.log10(SIGMA_SEARCH_RANGE[1] / SIGMA_SEARCH_RANGE[0])
 #: The bracket-scan grid, shared by both roots of every certificate.
 _SIGMA_GRID = np.geomspace(*SIGMA_SEARCH_RANGE, int(_DECADES * GRID_POINTS_PER_DECADE) + 1)
-#: Bisection levels per stacked call: ``2**_TREE_LEVELS - 1`` midpoints per open root.
-_TREE_LEVELS = 3
+#: Every ``_COARSE_STRIDE``-th grid point, both ends included, forms the coarse scan.
+_COARSE_STRIDE = 25
+#: Bisection midpoints per open root and stacked call, laid out toward the predicted root.
+_PATH_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -147,51 +150,71 @@ def psi_sigma(reg: AugmentedRegression, beta: float, sigma: float) -> float:
     return _bound_at(reg, beta, sigma, 1, "psi_sigma")
 
 
+def _bounds_split(reg: AugmentedRegression, parts, sigmas):
+    """``phi`` at ``sigmas[0]`` and ``psi`` at ``sigmas[1]``, in one `_bounds` call."""
+    phi, psi = _bounds(reg, parts, np.concatenate(sigmas))
+    return phi[: len(sigmas[0])], psi[len(sigmas[0]) :]
+
+
+def _path(bracket, target: float) -> list[float]:
+    """Up to `_PATH_DEPTH` bisection midpoints of ``[lo, f(lo), hi, f(hi)]``.
+
+    Each keeps the half holding the root predicted by interpolating ``f``
+    linearly in ``log sigma``, or ``sqrt(lo * hi)`` if ``f(lo)`` is not
+    finite.  The path stops at a midpoint that is not strictly inside.
+    """
+    lo, f_lo, hi, f_hi = bracket
+    predicted = math.sqrt(lo * hi)
+    if math.isfinite(f_lo):
+        predicted = lo * (hi / lo) ** ((f_lo - target) / (f_lo - f_hi))
+    mids = []
+    while len(mids) < _PATH_DEPTH and lo < (mid := math.sqrt(lo * hi)) < hi:
+        mids.append(mid)
+        lo, hi = (lo, mid) if predicted <= mid else (mid, hi)
+    return mids
+
+
 def _find_roots(reg: AugmentedRegression, parts, targets: tuple[float, float]) -> list[float]:
     """Smallest-bandwidth roots of ``phi = targets[0]`` and ``psi = targets[1]``.
 
-    Both bounds are nonincreasing, NaN (counted as +inf) where singular.
-    Each root is bracketed by the first grid cell that reaches its target,
-    or is the left edge if that already does (the condition then holds on
-    the whole range).  Each round evaluates, in one `_bounds` call, the
-    midpoints ``sqrt(lo * hi)`` of the next `_TREE_LEVELS` levels of every
-    open bisection tree, in heap order, then walks each tree down the half
-    that reaches the target.  A walk ends at ``hi`` once a midpoint equals
-    an end, as bisecting one midpoint at a time does, on the same floats.
+    Both bounds are nonincreasing, NaN (counted as +inf) where singular, so
+    the grid points that reach a target follow all those that do not: the
+    first cell that reaches is found from every `_COARSE_STRIDE`-th point,
+    then from the first coarse cell that reaches, one `_bounds` call each.
+    A root at the left edge holds on the whole range.  Each round evaluates
+    a `_path` per root in one call and replays the serial bisection on it
+    until a decision, made on the true value at its own midpoint, leaves the
+    path.  A root is ``hi`` once its path is empty, as in the serial loop.
     """
-    brackets = []  # [lo, hi], with lo None once hi is the root
-    for on_grid, target, name in zip(_bounds(reg, parts, _SIGMA_GRID), targets, ("phi", "psi")):
-        reached = np.flatnonzero(on_grid <= target)
+    cells = []  # grid indices of each root's first coarse cell that reaches
+    coarse = _bounds(reg, parts, _SIGMA_GRID[::_COARSE_STRIDE])
+    for on_coarse, target, name in zip(coarse, targets, ("phi", "psi")):
+        reached = np.flatnonzero(on_coarse <= target)
         if reached.size == 0:
             lo_edge, hi_edge = SIGMA_SEARCH_RANGE
             raise BracketNotFound(
                 f"{name} root: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
             )
-        k = int(reached[0])
-        brackets.append([float(_SIGMA_GRID[k - 1]) if k else None, float(_SIGMA_GRID[k])])
-    nodes = 2**_TREE_LEVELS - 1
-    while open_roots := [j for j in (0, 1) if brackets[j][0] is not None]:
-        trees = []
-        for j in open_roots:
-            ends, mids = [tuple(brackets[j])], []
-            for i in range(nodes):  # heap order: node i has children 2i+1 and 2i+2
-                lo, hi = ends[i]
-                mids.append(math.sqrt(lo * hi))
-                ends += [(lo, mids[-1]), (mids[-1], hi)]
-            trees.append(mids)
-        values = _bounds(reg, parts, np.concatenate(trees))
-        for slot, (j, mids) in enumerate(zip(open_roots, trees)):
-            below = values[j][slot * nodes : (slot + 1) * nodes] <= targets[j]
-            (lo, hi), node = brackets[j], 0
-            for _ in range(_TREE_LEVELS):
-                mid, left = mids[node], below[node]
-                if mid <= lo or mid >= hi:
-                    lo = None
-                    break
-                lo, hi = (lo, mid) if left else (mid, hi)
-                node = 2 * node + (1 if left else 2)
-            brackets[j] = [lo, hi]
-    return [hi for _, hi in brackets]
+        k = int(reached[0]) * _COARSE_STRIDE
+        cells.append(np.arange(max(k - _COARSE_STRIDE, 0), k + 1))
+    brackets = []  # [lo, f(lo), hi, f(hi)], with lo = hi at the left edge
+    fine = _bounds_split(reg, parts, [_SIGMA_GRID[c] for c in cells])
+    for cell, values, target in zip(cells, fine, targets):
+        i = int(np.flatnonzero(values <= target)[0])
+        lo, hi = _SIGMA_GRID[cell[max(i - 1, 0)]], _SIGMA_GRID[cell[i]]
+        brackets.append([float(lo), values[i - 1] if i else math.nan, float(hi), values[i]])
+    while any(paths := [_path(b, t) for b, t in zip(brackets, targets)]):
+        for j, f_mids in enumerate(_bounds_split(reg, parts, paths)):
+            lo, f_lo, hi, f_hi = brackets[j]
+            for mid, f_mid in zip(paths[j], f_mids):
+                if mid != math.sqrt(lo * hi):
+                    break  # an earlier decision left the path
+                if f_mid <= targets[j]:
+                    hi, f_hi = mid, f_mid
+                else:
+                    lo, f_lo = mid, f_mid
+            brackets[j] = [lo, f_lo, hi, f_hi]
+    return [hi for _, _, hi, _ in brackets]
 
 
 def sufficient_sigma(

@@ -163,9 +163,8 @@ def build_regression(
     """Whiten the stacked prior/measurement model for one step.
 
     Factorizes ``prior.cov = B_p B_p'`` and ``R = B_r B_r'`` and forms D and W
-    by triangular solves (never explicit inverses).
+    by solving with those factors (never explicit inverses).
     """
-    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     y = require_finite(np.atleast_1d(y), "build_regression measurement")
     if y.size != model.m:
         raise DimensionMismatch(f"measurement has dim {y.size}, model expects {model.m}")
@@ -175,10 +174,10 @@ def build_regression(
         )
     b_p = cholesky_lower(prior.cov)
     b_r = cholesky_lower(model.R)
-    w_top = solve_triangular(b_p, np.eye(model.n), lower=True)
-    w_bot = solve_triangular(b_r, model.H, lower=True)
-    d_top = solve_triangular(b_p, prior.mean, lower=True)
-    d_bot = solve_triangular(b_r, y, lower=True)
+    w_top = np.linalg.solve(b_p, np.eye(model.n))
+    w_bot = np.linalg.solve(b_r, model.H)
+    d_top = np.linalg.solve(b_p, prior.mean)
+    d_bot = np.linalg.solve(b_r, y)
     return AugmentedRegression(
         D=np.concatenate([d_top, d_bot]),
         W=np.vstack([w_top, w_bot]),

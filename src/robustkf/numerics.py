@@ -9,8 +9,9 @@ Covariance recursions are symmetric analytically but not numerically, so
 every operation that requires a symmetric input first checks symmetry
 against a relative tolerance and then works on ``(A + A.T) / 2``.
 
-Functions that need ``scipy.linalg`` import it when called: the filter steps
-need only NumPy, and ``scipy.linalg`` adds ~27 MB resident (SciPy 1.17).
+``scipy.linalg`` adds ~27 MB resident (SciPy 1.17), so only `solve_spd`,
+`mckf.weighted_qr_map` and `diagnostics.jacobian_f` import it, when called:
+the filter steps, `build_regression` and certificates need only NumPy.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigParseError, EmptyInput, RobustKFError
+from .errors import ConfigParseError, EmptyInput, InvalidBandwidth, RobustKFError
 from .kf import kf_predict
 from .mckf import (
     KernelConfig,
@@ -264,12 +264,15 @@ class ExperimentConfig:
             kind = f.get("kind")
             if kind not in ("kf", "mckf"):
                 raise ConfigParseError(f"unknown filter kind {kind!r}")
-            kernel = None if kind == "kf" else KernelConfig(
-                sigma=f["sigma"],
-                epsilon=f["epsilon"],
-                max_iterations=int(f.get("max_iterations", 100)),
-                step_norm=f.get("step_norm", "l2"),
-            )
+            try:
+                kernel = None if kind == "kf" else KernelConfig(
+                    sigma=f["sigma"],
+                    epsilon=f["epsilon"],
+                    max_iterations=int(f.get("max_iterations", 100)),
+                    step_norm=f.get("step_norm", "l2"),
+                )
+            except (KeyError, TypeError, ValueError, InvalidBandwidth) as exc:
+                raise ConfigParseError(f"invalid mckf filter {f}: {exc}") from None
             filters.append(FilterSpec(kind, kernel))
         custom = data.pop("custom_model", None)
         if custom is not None:

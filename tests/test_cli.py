@@ -43,12 +43,33 @@ class TestFlops:
         ["diagnose", "--alpha", "2"],
         ["diagnose", "--beta", "nan"],
         ["flops", "--n", "0", "--m", "1", "--t", "1"],
+        ["bench", "--sigma", "1", "--max-iterations", "0", "--runs", "2", "--steps", "5"],
     ],
 )
 def test_bad_argument_is_config_error(capsys, args):
     assert run_cli(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_bad_kernel_in_config_file_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"filters": [{"kind": "mckf", "epsilon": 1e-6}]}))
+    assert run_cli(["bench", "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_too_few_bins_is_config_error_before_the_experiment(tmp_path, monkeypatch, capsys):
+    def no_experiment(config):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("robustkf.cli.run_monte_carlo", no_experiment)
+    args = ["simulate", "--runs", "2", "--steps", "5", "--bins", "1", "--out", str(tmp_path)]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_non_finite_input_stays_a_numerical_failure(monkeypatch, capsys):

@@ -1,13 +1,22 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import robustkf
 from robustkf import (
     BetaTooSmall,
     BracketNotFound,
+    ExperimentConfig,
     GaussianBelief,
     SingularDesign,
     StateSpaceModel,
@@ -15,14 +24,18 @@ from robustkf import (
     fixed_point_map,
     flop_counts,
     gaussian_kernel,
+    generate_run_data,
     induced_l1_norm,
     jacobian_f,
+    kf_predict,
+    kf_update,
     phi_sigma,
     psi_sigma,
     sufficient_sigma,
     zeta,
 )
-from robustkf.diagnostics import _SIGMA_GRID, _bound_parts, _bounds
+from robustkf import diagnostics
+from robustkf.diagnostics import _COARSE_STRIDE, _SIGMA_GRID, _bound_parts, _bounds
 from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression
 from conftest import random_regression
 
@@ -109,6 +122,52 @@ def plain_root(fn, target):
                     hi = mid
             return float(hi)
     raise BracketNotFound("no bracket")
+
+
+def assert_roots_equal_plain(reg, beta, alpha):
+    cert = sufficient_sigma(reg, beta, alpha)
+    assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
+    assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), alpha)
+    return cert
+
+
+def kf_snapshots(example, seed, steps=64):
+    """Regressions and default ball radii of consecutive KF steps, as ``diagnose`` forms them."""
+    config = ExperimentConfig.from_dict({
+        "example": example, "noise_case": "impulsive-measurement",
+        "runs": 1, "steps": steps, "master_seed": seed, "filters": [{"kind": "kf"}],
+    })
+    data = generate_run_data(config, 0)
+    model = config.filter_model()
+    belief = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(model.n))
+    for y in data.measurements:
+        prior = kf_predict(model, belief)
+        reg = build_regression(model, prior, y)
+        yield reg, 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
+        belief, _ = kf_update(model, prior, y)
+
+
+def record_bounds(monkeypatch):
+    """Record the bandwidths of every stacked `_bounds` call of the root search."""
+    calls = []
+
+    def recording_bounds(reg, parts, sigmas):
+        calls.append(list(sigmas))
+        return _bounds(reg, parts, sigmas)
+
+    monkeypatch.setattr(diagnostics, "_bounds", recording_bounds)
+    return calls
+
+
+def tiny_scale_regression(rng):
+    """A snapshot whose kernel weights are 1 on the whole grid, so psi is ``c / sigma^2``.
+
+    With ``beta = 2 zeta`` phi's root is the left edge, so only psi is
+    bisected, and ``alpha = psi(s)`` places psi's root at ``s``.
+    """
+    base = random_regression(rng, 2, 2)
+    reg = dataclasses.replace(base, D=base.D * 1e-9)
+    return reg, 2.0 * zeta(reg)
 
 
 def finite_difference_jacobian(reg, x, sigma, step=1e-6):
@@ -295,6 +354,64 @@ class TestRootScan:
             assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
             assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), 0.5)
 
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_kf_snapshots_equal_plain_bisection(self, example):
+        for reg, beta in kf_snapshots(example, seed=11):
+            assert_roots_equal_plain(reg, beta, 0.5)
+
+    def test_root_at_a_coarse_grid_point(self, rng):
+        reg, beta = tiny_scale_regression(rng)
+        k = 8 * _COARSE_STRIDE
+        alpha = psi_sigma(reg, beta, _SIGMA_GRID[k])
+        assert psi_sigma(reg, beta, _SIGMA_GRID[k - 1]) > alpha
+        cert = assert_roots_equal_plain(reg, beta, alpha)
+        assert cert.sigma_dagger == _SIGMA_GRID[k]
+
+    @pytest.mark.parametrize("k", [1, 11, _COARSE_STRIDE, 590, len(_SIGMA_GRID) - 1])
+    def test_root_in_first_and_last_coarse_cell(self, rng, k):
+        reg, beta = tiny_scale_regression(rng)
+        alpha = psi_sigma(reg, beta, math.sqrt(_SIGMA_GRID[k - 1] * _SIGMA_GRID[k]))
+        cert = assert_roots_equal_plain(reg, beta, alpha)
+        assert _SIGMA_GRID[k - 1] < cert.sigma_dagger <= _SIGMA_GRID[k]
+
+    def test_singular_left_end_takes_the_geometric_midpoint(self, monkeypatch):
+        # With D = 0, phi is 0 wherever C^1/2 W has full rank and NaN where
+        # the weight of the long row underflows, so phi's root is the first
+        # nonsingular grid point and its cell's left end is singular.
+        reg = hand_regression([[1.0, 0.0], [0.0, 1000.0], [1.0, 0.0]], [0.0, 0.0, 0.0])
+        beta = 1e-3
+        calls = record_bounds(monkeypatch)
+        cert = sufficient_sigma(reg, beta, 0.5)
+        monkeypatch.undo()
+        assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
+        k = int(np.searchsorted(_SIGMA_GRID, cert.sigma_star))
+        assert 0 < k < len(_SIGMA_GRID) and phi_sigma(reg, beta, _SIGMA_GRID[k]) == 0.0
+        with pytest.raises(SingularDesign):
+            phi_sigma(reg, beta, _SIGMA_GRID[k - 1])
+        # The predicted root is the first midpoint, so the path turns left there.
+        lo = _SIGMA_GRID[k - 1]
+        first = math.sqrt(lo * _SIGMA_GRID[k])
+        path = next(sigmas for sigmas in calls if sigmas[0] == first)
+        assert path[1] == math.sqrt(lo * first)
+
+    def test_path_left_after_one_level(self, rng, monkeypatch):
+        # psi = c / sigma^2 is convex in log sigma, so the interpolated root
+        # lies right of the true one.  With the true root at the cell's
+        # geometric midpoint, the first decision keeps the left half while
+        # the path was laid out through the right half.
+        reg, beta = tiny_scale_regression(rng)
+        lo, hi = _SIGMA_GRID[99], _SIGMA_GRID[100]
+        first = math.sqrt(lo * hi)
+        second = math.sqrt(lo * first)  # the serial loop's second midpoint
+        alpha = psi_sigma(reg, beta, first)
+        calls = record_bounds(monkeypatch)
+        cert = sufficient_sigma(reg, beta, alpha)
+        monkeypatch.undo()
+        assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), alpha)
+        path = next(i for i, sigmas in enumerate(calls) if sigmas[0] == first)
+        assert len(calls[path]) > 1 and calls[path][1] != second
+        assert calls[path + 1][0] == second
+
     def test_both_roots_at_left_edge(self, rng):
         # With D = 0 phi vanishes, and a tiny ball keeps psi tiny at the edge.
         base = random_regression(rng, 2, 2)
@@ -359,6 +476,71 @@ class TestRootScan:
                 reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
                 beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
                 sufficient_sigma(reg, beta, 0.5)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    scale=st.floats(-3.0, 3.0),
+    beta_excess=st.floats(-9.0, math.log10(9.0)),
+    alpha=st.floats(1e-6, 0.9),
+)
+def test_reached_masks_are_monotone_and_roots_equal_plain(seed, dims, scale, beta_excess, alpha):
+    # beta = zeta (1 + 10^beta_excess).  Within about 1e-15 relative of zeta,
+    # phi meets beta only to rounding, near the right end of the grid, where
+    # its mask can flicker and no scan of the grid decides the root.
+    base = random_regression(np.random.default_rng(seed), *dims)
+    reg = dataclasses.replace(base, D=base.D * 10.0**scale)
+    beta = zeta(reg) * (1.0 + 10.0**beta_excess)
+    for values, target in zip(_bounds(reg, _bound_parts(reg, beta), _SIGMA_GRID), (beta, alpha)):
+        reached = values <= target
+        assert not np.any(reached[:-1] & ~reached[1:])  # all False, then all True
+    roots = []
+    for fn, target in ((phi_sigma, beta), (psi_sigma, alpha)):
+        try:
+            roots.append(plain_root(lambda s: fn(reg, beta, s), target))
+        except BracketNotFound:
+            roots.append(None)
+    if None in roots:
+        with pytest.raises(BracketNotFound):
+            sufficient_sigma(reg, beta, alpha)
+    else:
+        cert = sufficient_sigma(reg, beta, alpha)
+        assert [cert.sigma_star, cert.sigma_dagger] == roots
+
+
+def test_certificates_leave_scipy_linalg_unloaded():
+    # scipy.linalg adds tens of MB resident; certificates need only NumPy.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from robustkf import GaussianBelief, StateSpaceModel
+        from robustkf import build_regression, sufficient_sigma, zeta
+        from robustkf.cli import run_cli
+
+        def check(stage):
+            if "scipy.linalg" in sys.modules:
+                sys.exit(f"scipy.linalg loaded by {stage}")
+
+        check("import")
+        model = StateSpaceModel(F=np.eye(2), H=[[1.0, 0.0]], Q=0.1 * np.eye(2), R=[[1.0]])
+        reg = build_regression(model, GaussianBelief([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]]), [0.5])
+        check("build_regression")
+        beta = 2.0 * zeta(reg)
+        check("zeta")
+        sufficient_sigma(reg, beta, 0.5)
+        check("sufficient_sigma")
+        assert run_cli(["diagnose", "--example", "1", "--noise", "gaussian", "--seed", "3"]) == 0
+        check("diagnose")
+    """)
+    src = str(Path(robustkf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestJacobian:
