@@ -48,6 +48,7 @@ from .sim import (
     EXAMPLE2_POSITION_ERROR_RANGE,
     ExperimentConfig,
     FilterSpec,
+    check_density_bins,
     error_density,
     generate_run_data,
     run_monte_carlo,
@@ -278,8 +279,8 @@ def _write_experiment_tables(ns, result, densities: bool) -> None:
 
 def _cmd_experiment(ns) -> int:
     """``simulate`` and ``bench``: they differ only in ``ns.densities``."""
-    if ns.densities and ns.bins < 2:
-        raise ConfigParseError("--bins must be >= 2")
+    if ns.densities:
+        _checked_call(check_density_bins, ns.bins)
     config = _experiment_from_args(ns)
     result = run_monte_carlo(config)
     status = _check_failures(result)

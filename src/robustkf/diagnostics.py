@@ -13,10 +13,13 @@ in the ball converges to the unique fixed point there.
 ``psi(sigma) = alpha``.  Both functions are monotone nonincreasing in the
 bandwidth (kernel weights only grow with it), so each root is bracketed by
 the first cell of a geometric grid that reaches its target, found by a
-coarse scan and then a fine one, and bisected there.  The two bisections
-advance together: one stacked evaluation holds a path of midpoints per root
-toward an interpolated root, and replaying the serial bisection on it gives
-the floats of bisecting one midpoint at a time.  The public `zeta`,
+coarse scan and then a fine one, and bisected there.  The computed ``phi``
+is monotone only up to rounding: it tends to `zeta` as the bandwidth
+grows, so a ``beta`` within rounding of `zeta`, where ``sigma_star`` has
+no meaning anyway, is rejected.  The two bisections advance together: one
+stacked evaluation holds a path of midpoints per root toward an
+interpolated root, and replaying the serial bisection on it gives the
+floats of bisecting one midpoint at a time.  The public `zeta`,
 `phi_sigma` and `psi_sigma` run the same code on one bandwidth, so a
 certified bandwidth satisfies them exactly.
 
@@ -45,8 +48,12 @@ GRID_POINTS_PER_DECADE = 40
 _DECADES = math.log10(SIGMA_SEARCH_RANGE[1] / SIGMA_SEARCH_RANGE[0])
 #: The bracket-scan grid, shared by both roots of every certificate.
 _SIGMA_GRID = np.geomspace(*SIGMA_SEARCH_RANGE, int(_DECADES * GRID_POINTS_PER_DECADE) + 1)
-#: Every ``_COARSE_STRIDE``-th grid point, both ends included, forms the coarse scan.
+#: Every ``_COARSE_STRIDE``-th grid point and the last one form the coarse scan.
 _COARSE_STRIDE = 25
+_COARSE = np.unique(np.r_[0 : _SIGMA_GRID.size : _COARSE_STRIDE, _SIGMA_GRID.size - 1])
+#: ``beta`` must exceed ``zeta * (1 + _BETA_EXCESS)``; below it ``phi``'s rounding
+#: (up to about 150 eps on random snapshots) decides where it meets ``beta``.
+_BETA_EXCESS = 4096 * np.finfo(float).eps
 #: Bisection midpoints per open root and stacked call, laid out toward the predicted root.
 _PATH_DEPTH = 16
 
@@ -179,30 +186,37 @@ def _find_roots(reg: AugmentedRegression, parts, targets: tuple[float, float]) -
 
     Both bounds are nonincreasing, NaN (counted as +inf) where singular, so
     the grid points that reach a target follow all those that do not: the
-    first cell that reaches is found from every `_COARSE_STRIDE`-th point,
-    then from the first coarse cell that reaches, one `_bounds` call each.
-    A root at the left edge holds on the whole range.  Each round evaluates
-    a `_path` per root in one call and replays the serial bisection on it
-    until a decision, made on the true value at its own midpoint, leaves the
-    path.  A root is ``hi`` once its path is empty, as in the serial loop.
+    first cell that reaches is found from the `_COARSE` points, then from
+    the fine points of the first coarse cell that reaches, one `_bounds`
+    call each.  Where rounding breaks the order, the bracket still has a
+    left end that misses and a right end that reaches, and the whole grid
+    is scanned before a root is out of range.  A root at the left edge
+    holds on the whole range.  Each round evaluates a `_path` per root
+    in one call and replays the serial bisection on it until a decision,
+    made on the true value at its own midpoint, leaves the path.  A root is
+    ``hi`` once its path is empty, as in the serial loop.
     """
-    cells = []  # grid indices of each root's first coarse cell that reaches
-    coarse = _bounds(reg, parts, _SIGMA_GRID[::_COARSE_STRIDE])
-    for on_coarse, target, name in zip(coarse, targets, ("phi", "psi")):
-        reached = np.flatnonzero(on_coarse <= target)
+    cells = []  # (grid indices to scan for the first that reaches, f just left of them)
+    coarse = _bounds(reg, parts, _SIGMA_GRID[_COARSE])
+    for on_coarse, target in zip(coarse, targets):
+        j = int(np.argmax(on_coarse <= target))
+        if not on_coarse[j] <= target:  # rescan: rounding may hide a point that reaches
+            cells.append((np.arange(_SIGMA_GRID.size), math.nan))
+        else:
+            cells.append((np.arange(_COARSE[j - 1] + 1 if j else 0, _COARSE[j] + 1),
+                          on_coarse[j - 1] if j else math.nan))
+    brackets = []  # [lo, f(lo), hi, f(hi)], with lo = hi at the left edge
+    fine = _bounds_split(reg, parts, [_SIGMA_GRID[cell] for cell, _ in cells])
+    for (cell, f_left), values, target, name in zip(cells, fine, targets, ("phi", "psi")):
+        reached = np.flatnonzero(values <= target)
         if reached.size == 0:
             lo_edge, hi_edge = SIGMA_SEARCH_RANGE
             raise BracketNotFound(
                 f"{name} root: no bandwidth in [{lo_edge:g}, {hi_edge:g}] reaches the target"
             )
-        k = int(reached[0]) * _COARSE_STRIDE
-        cells.append(np.arange(max(k - _COARSE_STRIDE, 0), k + 1))
-    brackets = []  # [lo, f(lo), hi, f(hi)], with lo = hi at the left edge
-    fine = _bounds_split(reg, parts, [_SIGMA_GRID[c] for c in cells])
-    for cell, values, target in zip(cells, fine, targets):
-        i = int(np.flatnonzero(values <= target)[0])
-        lo, hi = _SIGMA_GRID[cell[max(i - 1, 0)]], _SIGMA_GRID[cell[i]]
-        brackets.append([float(lo), values[i - 1] if i else math.nan, float(hi), values[i]])
+        i, k = int(reached[0]), int(cell[reached[0]])
+        lo, hi = _SIGMA_GRID[max(k - 1, 0)], _SIGMA_GRID[k]
+        brackets.append([float(lo), values[i - 1] if i else f_left, float(hi), values[i]])
     while any(paths := [_path(b, t) for b, t in zip(brackets, targets)]):
         for j, f_mids in enumerate(_bounds_split(reg, parts, paths)):
             lo, f_lo, hi, f_hi = brackets[j]
@@ -236,16 +250,16 @@ def sufficient_sigma(
     ValueError
         If ``alpha`` is outside (0, 1) or ``beta`` is not finite.
     BetaTooSmall
-        If ``beta <= zeta(reg)``.
+        If ``beta <= zeta(reg) * (1 + _BETA_EXCESS)``, within rounding of `zeta`.
     BracketNotFound
-        If either root lies outside `SIGMA_SEARCH_RANGE`.
+        If no grid point of `SIGMA_SEARCH_RANGE` reaches a root's target.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     parts = _bound_parts(reg, beta)  # rejects a non-finite beta before any SVD
     z = zeta(reg)
-    if beta <= z:
-        raise BetaTooSmall(f"beta={beta:g} must exceed zeta={z:g}")
+    if beta <= z * (1.0 + _BETA_EXCESS):
+        raise BetaTooSmall(f"beta={beta!r} must exceed zeta={z!r} by more than rounding")
     sigma_star, sigma_dagger = _find_roots(reg, parts, (beta, alpha))
     return ConvergenceCertificate(
         beta=float(beta),

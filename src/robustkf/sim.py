@@ -519,6 +519,12 @@ class Histogram:
     out_of_range_fraction: float
 
 
+def check_density_bins(bins: int) -> None:
+    """Reject a histogram with fewer than two bins (`ValueError`)."""
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+
+
 def error_density(
     errors: np.ndarray, bins: int, value_range: tuple[float, float]
 ) -> Histogram:
@@ -537,8 +543,7 @@ def error_density(
     errors = errors[np.isfinite(errors)]
     if errors.size == 0:
         raise EmptyInput("error_density: no samples")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    check_density_bins(bins)
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("value_range must satisfy lo < hi")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robustkf
@@ -35,7 +35,14 @@ from robustkf import (
     zeta,
 )
 from robustkf import diagnostics
-from robustkf.diagnostics import _COARSE_STRIDE, _SIGMA_GRID, _bound_parts, _bounds
+from robustkf.diagnostics import (
+    _BETA_EXCESS,
+    _COARSE,
+    _COARSE_STRIDE,
+    _SIGMA_GRID,
+    _bound_parts,
+    _bounds,
+)
 from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression
 from conftest import random_regression
 
@@ -157,6 +164,17 @@ def record_bounds(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "_bounds", recording_bounds)
     return calls
+
+
+def set_phi(monkeypatch, sigmas, value):
+    """Make every `_bounds` call return ``phi = value`` at ``sigmas``, as rounding might."""
+    bounds = diagnostics._bounds
+
+    def patched_bounds(reg, parts, at):
+        phi, psi = bounds(reg, parts, at)
+        return np.where(np.isin(at, sigmas), value, phi), psi
+
+    monkeypatch.setattr(diagnostics, "_bounds", patched_bounds)
 
 
 def tiny_scale_regression(rng):
@@ -283,6 +301,27 @@ class TestSufficientSigma:
         with pytest.raises(BetaTooSmall):
             sufficient_sigma(reg, beta=0.5 * zeta(reg), alpha=0.5)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_beta_within_rounding_of_zeta_rejected(self, seed):
+        # Near zeta, phi meets beta only where its rounding decides the
+        # grid's reached mask (it flickers for seeds 1 and 2 at one ulp).
+        reg = random_regression(np.random.default_rng(seed), 2, 1)
+        z = zeta(reg)
+        for ulps in (1, 2, 8, 64, 1024):
+            with pytest.raises(BetaTooSmall):
+                sufficient_sigma(reg, z * (1.0 + ulps * np.finfo(float).eps), 0.5)
+        assert_roots_equal_plain(reg, z * (1.0 + 2.0 * _BETA_EXCESS), 0.5)
+
+    def test_masks_monotone_just_above_the_beta_margin(self):
+        rng = np.random.default_rng(4096)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            base = random_regression(rng, n, int(rng.integers(1, n + 1)))
+            reg = dataclasses.replace(base, D=base.D * 10.0 ** rng.uniform(-3.0, 3.0))
+            beta = np.nextafter(zeta(reg) * (1.0 + _BETA_EXCESS), math.inf)
+            reached = _bounds(reg, _bound_parts(reg, beta), _SIGMA_GRID)[0] <= beta
+            assert not np.any(reached[:-1] & ~reached[1:])  # all False, then all True
+
     def test_alpha_range_enforced(self):
         reg = unit_scalar_regression(x_prior=1.0, y=1.0)
         with pytest.raises(ValueError):
@@ -373,6 +412,32 @@ class TestRootScan:
         alpha = psi_sigma(reg, beta, math.sqrt(_SIGMA_GRID[k - 1] * _SIGMA_GRID[k]))
         cert = assert_roots_equal_plain(reg, beta, alpha)
         assert _SIGMA_GRID[k - 1] < cert.sigma_dagger <= _SIGMA_GRID[k]
+
+    def test_coarse_scan_spans_the_grid(self):
+        assert _COARSE[0] == 0 and _COARSE[-1] == len(_SIGMA_GRID) - 1
+        assert np.all(np.diff(_COARSE) >= 1) and np.all(np.diff(_COARSE) <= _COARSE_STRIDE)
+
+    def test_root_hidden_from_every_coarse_point_is_found(self, rng, monkeypatch):
+        # As if rounding made phi miss beta at every coarse point: the whole
+        # grid is rescanned before the root is declared out of range.
+        reg = random_regression(rng, 2, 1)
+        beta = 2.0 * zeta(reg)
+        set_phi(monkeypatch, _SIGMA_GRID[_COARSE], np.inf)
+        assert_roots_equal_plain(reg, beta, 0.5)
+
+    def test_root_past_a_point_that_reaches_out_of_order(self, rng, monkeypatch):
+        # As if rounding made phi reach beta at one fine point well left of
+        # the root: the coarse scan passes it, and the bracket found still
+        # has a left end that misses and a right end that reaches.
+        reg = random_regression(rng, 2, 1)
+        beta = 2.0 * zeta(reg)
+        k = int(np.searchsorted(_SIGMA_GRID, sufficient_sigma(reg, beta, 0.5).sigma_star))
+        fluke = (k // _COARSE_STRIDE - 2) * _COARSE_STRIDE + 7
+        set_phi(monkeypatch, _SIGMA_GRID[fluke], 0.0)
+        assert plain_root(lambda s: phi_sigma(reg, beta, s), beta) < _SIGMA_GRID[fluke + 1]
+        sigma_star = sufficient_sigma(reg, beta, 0.5).sigma_star
+        assert _SIGMA_GRID[k - 1] < sigma_star <= _SIGMA_GRID[k]
+        assert phi_sigma(reg, beta, sigma_star) <= beta < phi_sigma(reg, beta, _SIGMA_GRID[k - 1])
 
     def test_singular_left_end_takes_the_geometric_midpoint(self, monkeypatch):
         # With D = 0, phi is 0 wherever C^1/2 W has full rank and NaN where
@@ -483,16 +548,26 @@ class TestRootScan:
     seed=st.integers(0, 2**32 - 1),
     dims=st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
     scale=st.floats(-3.0, 3.0),
-    beta_excess=st.floats(-9.0, math.log10(9.0)),
+    # beta = zeta (1 + excess) covers (zeta, 10 zeta]; excesses of 1 to 2^16
+    # ulps reach either side of where phi meets beta only to rounding.
+    excess=st.one_of(
+        st.integers(1, 2**16).map(lambda ulps: ulps * np.finfo(float).eps),
+        st.floats(0.0, 9.0, exclude_min=True),
+    ),
     alpha=st.floats(1e-6, 0.9),
 )
-def test_reached_masks_are_monotone_and_roots_equal_plain(seed, dims, scale, beta_excess, alpha):
-    # beta = zeta (1 + 10^beta_excess).  Within about 1e-15 relative of zeta,
-    # phi meets beta only to rounding, near the right end of the grid, where
-    # its mask can flicker and no scan of the grid decides the root.
+@example(seed=1424878, dims=(1, 1), scale=0.0, excess=np.finfo(float).eps, alpha=0.5)
+@example(seed=1, dims=(2, 1), scale=0.0, excess=1.01 * _BETA_EXCESS, alpha=0.5)
+@example(seed=2, dims=(4, 3), scale=-2.0, excess=2.0 * _BETA_EXCESS, alpha=1e-6)
+def test_reached_masks_are_monotone_and_roots_equal_plain(seed, dims, scale, excess, alpha):
     base = random_regression(np.random.default_rng(seed), *dims)
     reg = dataclasses.replace(base, D=base.D * 10.0**scale)
-    beta = zeta(reg) * (1.0 + 10.0**beta_excess)
+    z = zeta(reg)
+    beta = z * (1.0 + excess)
+    if beta <= z * (1.0 + _BETA_EXCESS):
+        with pytest.raises(BetaTooSmall):
+            sufficient_sigma(reg, beta, alpha)
+        return
     for values, target in zip(_bounds(reg, _bound_parts(reg, beta), _SIGMA_GRID), (beta, alpha)):
         reached = values <= target
         assert not np.any(reached[:-1] & ~reached[1:])  # all False, then all True
