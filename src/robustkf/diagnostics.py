@@ -293,10 +293,9 @@ def jacobian_f(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np.ndar
     SingularDesign
         If that factor is rank-deficient.
     """
-    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     f_x, e, c, q, r = weighted_qr_map(reg, x, sigma)
     t_over_c = np.where(c > WEIGHT_FLOOR, e * (reg.D - reg.W @ f_x) / (sigma * sigma), 0.0)
-    return solve_triangular(r, (q.T * t_over_c) @ q @ r)
+    return np.linalg.solve(r, (q.T * t_over_c) @ q @ r)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ In both forms ``C`` holds the kernel weights clamped below at
 `WEIGHT_FLOOR`.  The weighted-least-squares form never builds the normal
 equations ``W' C W``: it solves through the QR factor of ``C^½ W``, whose
 condition number is the square root of theirs, and the analytic Jacobian in
-`robustkf.diagnostics` reuses that same factor.
+`robustkf.diagnostics` reuses that same factor.  Every factorization and
+solve is a ``numpy.linalg`` call.
 
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
@@ -165,13 +166,7 @@ def build_regression(
     Factorizes ``prior.cov = B_p B_p'`` and ``R = B_r B_r'`` and forms D and W
     by solving with those factors (never explicit inverses).
     """
-    y = require_finite(np.atleast_1d(y), "build_regression measurement")
-    if y.size != model.m:
-        raise DimensionMismatch(f"measurement has dim {y.size}, model expects {model.m}")
-    if prior.dim != model.n:
-        raise DimensionMismatch(
-            f"belief dim {prior.dim} does not match model state dim {model.n}"
-        )
+    y = _checked_measurement(model, prior, y, "build_regression")[0]
     b_p = cholesky_lower(prior.cov)
     b_r = cholesky_lower(model.R)
     w_top = np.linalg.solve(b_p, np.eye(model.n))
@@ -248,7 +243,6 @@ def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
         value is at most ``L * eps`` times its largest, the tolerance of
         ``numpy.linalg.matrix_rank``.
     """
-    from scipy.linalg import solve_triangular  # loaded on first use, see robustkf.numerics
     e = compute_residuals(reg, x)
     wts = weight_matrices(e, sigma, reg.n, reg.m)
     c = np.concatenate([wts.cx, wts.cy])
@@ -257,7 +251,7 @@ def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
     singular_values = np.linalg.svd(r, compute_uv=False)
     if not singular_values[-1] > singular_values[0] * reg.L * np.finfo(float).eps:
         raise SingularDesign("weighted design C^1/2 W is rank-deficient")
-    f = solve_triangular(r, q.T @ (root_c * reg.D))
+    f = np.linalg.solve(r, q.T @ (root_c * reg.D))
     return f, e, c, q, r
 
 

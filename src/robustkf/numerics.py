@@ -9,9 +9,8 @@ Covariance recursions are symmetric analytically but not numerically, so
 every operation that requires a symmetric input first checks symmetry
 against a relative tolerance and then works on ``(A + A.T) / 2``.
 
-``scipy.linalg`` adds ~27 MB resident (SciPy 1.17), so only `solve_spd`,
-`mckf.weighted_qr_map` and `diagnostics.jacobian_f` import it, when called:
-the filter steps, `build_regression` and certificates need only NumPy.
+NumPy is the only numerical dependency: factorizations and solves here and
+throughout the package are ``numpy.linalg`` calls.
 """
 
 from __future__ import annotations
@@ -121,18 +120,17 @@ def cholesky_lower(a: np.ndarray) -> np.ndarray:
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for a symmetric positive definite ``a``.
 
-    Factorizes once with `cholesky_lower` and back-substitutes, never forming
-    an explicit inverse.  ``b`` may be a vector or a matrix of right-hand
-    sides; the result has the same shape as ``b``.
+    Factorizes once with `cholesky_lower` and solves with ``L`` and then
+    ``L'``, never forming an explicit inverse.  ``b`` may be a vector or a
+    matrix of right-hand sides; the result has the same shape as ``b``.
     """
-    from scipy.linalg import cho_solve  # loaded on first use, see the module docstring
     b = require_finite(b, "solve_spd rhs")
     lower = cholesky_lower(a)
     if b.shape[0] != lower.shape[0]:
         raise DimensionMismatch(
             f"solve_spd: rhs has {b.shape[0]} rows, matrix is {lower.shape[0]} x {lower.shape[0]}"
         )
-    return cho_solve((lower, True), b)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def min_eigenvalue_symmetric(a: np.ndarray) -> float:

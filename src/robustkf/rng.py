@@ -109,7 +109,3 @@ class RandomStream:
         """
         u = self.uniforms(2 * count)
         return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
-
-    def substream(self, index: int) -> "RandomStream":
-        """Independent stream derived from this stream's seed and ``index``."""
-        return RandomStream(substream_seed(self.seed, index))

@@ -198,7 +198,10 @@ class ExperimentConfig:
             raise ConfigParseError("custom example requires custom_model")
         object.__setattr__(self, "filters", tuple(self.filters))
         if self.true_x0 is not None:
-            object.__setattr__(self, "true_x0", tuple(float(v) for v in self.true_x0))
+            x0, n = tuple(float(v) for v in self.true_x0), self.resolve_model().n
+            if len(x0) != n:
+                raise ConfigParseError(f"true_x0 has {len(x0)} entries, the model has {n} states")
+            object.__setattr__(self, "true_x0", x0)
         for name in ("assumed_q", "assumed_r"):
             value = getattr(self, name)
             if value is not None:
@@ -274,15 +277,15 @@ class ExperimentConfig:
             except (KeyError, TypeError, ValueError, InvalidBandwidth) as exc:
                 raise ConfigParseError(f"invalid mckf filter {f}: {exc}") from None
             filters.append(FilterSpec(kind, kernel))
-        custom = data.pop("custom_model", None)
-        if custom is not None:
-            data["custom_model"] = StateSpaceModel(**custom)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigParseError(f"unknown config keys: {sorted(unknown)}")
         try:
+            custom = data.pop("custom_model", None)
+            if custom is not None:
+                data["custom_model"] = StateSpaceModel(**custom)
             return cls(filters=tuple(filters), **data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigParseError(str(exc)) from None
 
 

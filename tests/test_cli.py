@@ -60,6 +60,26 @@ def test_bad_kernel_in_config_file_is_config_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+_MODEL_1X1 = {"F": [[1.0]], "H": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"example": "custom", "custom_model": {"F": [[1.0]], "H": [[1.0]], "Q": [[1.0]]}},
+        {"example": "custom", "custom_model": [[1.0]]},
+        {"example": "custom", "custom_model": {**_MODEL_1X1, "F": [["a"]]}},
+        {"example": "example1", "true_x0": [0, 0, 0]},
+    ],
+)
+def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"true_x0": [0.0], "runs": 2, "steps": 5, **config}))
+    assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
 def test_too_few_bins_is_config_error_before_the_experiment(tmp_path, monkeypatch, capsys):
     def no_experiment(config):
         raise AssertionError("the experiment ran")

@@ -400,3 +400,17 @@ class TestStepBoundary:
             with pytest.raises(RobustKFError):
                 for y in data.measurements:
                     belief, _ = STEP_CALLS[name](fmodel, belief, y)
+
+
+@pytest.mark.parametrize(
+    "mean, y, error",
+    [
+        ([0.0, 0.0], [np.nan], NonFinite),
+        ([0.0, 0.0], [1.0, 2.0], DimensionMismatch),
+        ([0.0, 0.0, 0.0], [1.0], DimensionMismatch),
+    ],
+)
+def test_build_regression_checks_inputs_like_the_steps(mean, y, error):
+    belief = GaussianBelief(mean, 0.01 * np.eye(len(mean)))
+    with pytest.raises(error):
+        build_regression(make_example1(), belief, y)

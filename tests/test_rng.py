@@ -34,8 +34,8 @@ def test_substreams_distinct_and_deterministic():
     seeds = [substream_seed(555, i) for i in range(1000)]
     assert len(set(seeds)) == 1000
     assert seeds == [substream_seed(555, i) for i in range(1000)]
-    a = RandomStream(555).substream(3)
-    b = RandomStream(555).substream(4)
+    a = RandomStream(substream_seed(555, 3))
+    b = RandomStream(substream_seed(555, 4))
     assert not np.array_equal(a.uniforms(10), b.uniforms(10))
 
 
