@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .mckf import _checked_measurement, _filter_update
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_lower
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:
@@ -41,13 +40,12 @@ def kf_update(
     `_filter_update`, on one run.  The gain solves ``(H P H.T + R) K.T =
     H P`` (no explicit inverse); the covariance uses the Joseph form
     ``(I - K H) P (I - K H).T + K R K.T``, which stays PSD under perturbed
-    gains.  The inputs are checked once: the belief's dimension, a finite
-    measurement of length m, and ``R`` symmetric and positive definite
-    through its Cholesky factor.  The posterior must be finite and PSD.
+    gains.  The inputs are checked once: the belief's dimension and a finite
+    measurement of length m.  ``R`` was checked when the model was built.
+    The posterior must be finite and PSD.
 
     Returns ``(posterior, gain)``, the gain an n x m matrix.
     """
     y = _checked_measurement(model, prior, y, "kf_update")
-    cholesky_lower(model.R)  # R symmetric and positive definite
-    x, p, gain, _ = _filter_update(model, None, None, prior.mean[None], prior.cov[None], y, None)
+    x, p, gain, _ = _filter_update(model, None, prior.mean[None], prior.cov[None], y, None)
     return GaussianBelief._from_filter(x[0], p[0]), gain[0]

@@ -46,7 +46,7 @@ from .errors import (
     SingularDesign,
 )
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_lower, cholesky_stack, require_finite, solve_spd
+from .numerics import cholesky_lower, cholesky_stack, require_finite, solve_spd, solve_stack
 
 #: Lower clamp on kernel weights before inverting the weight matrices.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
@@ -163,12 +163,13 @@ def build_regression(
 ) -> AugmentedRegression:
     """Whiten the stacked prior/measurement model for one step.
 
-    Factorizes ``prior.cov = B_p B_p'`` and ``R = B_r B_r'`` and forms D and W
-    by solving with those factors (never explicit inverses).
+    Factorizes ``prior.cov = B_p B_p'``, takes ``R = B_r B_r'`` from the
+    model, whose ``R`` was checked and factored when it was built, and forms
+    D and W by solving with those factors (never explicit inverses).
     """
     y = _checked_measurement(model, prior, y, "build_regression")[0]
     b_p = cholesky_lower(prior.cov)
-    b_r = cholesky_lower(model.R)
+    b_r = model.B_r
     w_top = np.linalg.solve(b_p, np.eye(model.n))
     w_bot = np.linalg.solve(b_r, model.H)
     d_top = np.linalg.solve(b_p, prior.mean)
@@ -180,7 +181,7 @@ def build_regression(
         B_r=b_r,
         prior_mean=prior.mean.copy(),
         y=y,
-        H=model.H.copy(),
+        H=model.H,
     )
 
 
@@ -349,23 +350,10 @@ def _symmetrize(p):
     return (p + _mT(p)) / 2.0
 
 
-def _solve(s, b):
-    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
-    if s.shape[-1] == 1:
-        return b / s
-    return np.linalg.solve(s, b)
-
-
 def _gain(H, p, r):
     """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
     pht = p @ H.T
-    return _mT(_solve(_symmetrize(H @ pht + r), _mT(pht)))
-
-
-def _measurement_factors(R):
-    """``B_r = chol(R)``, checked symmetric and positive definite, and ``B_r^-1``."""
-    b_r = cholesky_lower(R)
-    return b_r, _solve(b_r, np.eye(b_r.shape[0]))
+    return _mT(solve_stack(_symmetrize(H @ pht + r), _mT(pht)))
 
 
 def _fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
@@ -400,7 +388,7 @@ def _fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
         c = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
         w_inv = 1.0 / c
         s = (a * w_inv[:, None, :n]) @ _mT(a) + (b_r * w_inv[:, None, n:]) @ b_r.T
-        z = _solve(s, innovation[..., None])
+        z = solve_stack(s, innovation[..., None])
         u = w_inv[:, :n] * (_mT(a) @ z)[..., 0]
         x_new = x_pred + (b_p @ u[..., None])[..., 0]
         num = np.linalg.norm(x_new - x_old, ord=ord_, axis=1)
@@ -423,12 +411,12 @@ def _fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
     return x, weights, last_rel, active
 
 
-def _filter_update(model, kernel, factors, x_pred, p_pred, y, iters):
+def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
     The KF takes the gain of the prior covariances.  The MCKF runs
-    `_fixed_point` with ``B_p = chol(P_pred)`` and ``factors`` from
-    `_measurement_factors`, then forms the gain of the reweighted covariances
+    `_fixed_point` with ``B_p = chol(P_pred)`` and the model's ``B_r`` and
+    ``B_r^-1``, then forms the gain of the reweighted covariances
     ``(P_w, R_w)`` from each run's last weights, the gain
     `fixed_point_iterate` returns.  The Joseph update takes that gain, the
     prior covariance and the nominal ``R``.  Every product is per run
@@ -445,7 +433,7 @@ def _filter_update(model, kernel, factors, x_pred, p_pred, y, iters):
         x = x_pred + (gain @ innovation[..., None])[..., 0]
         fixed_point = None
     else:
-        b_r, b_r_inv = factors
+        b_r, b_r_inv = model.B_r, model.B_r_inv
         b_p = cholesky_stack(_symmetrize(p_pred))
         x, weights, last_rel, capped = _fixed_point(
             kernel, H @ b_p, b_p, b_r, b_r_inv, x_pred, innovation, iters
@@ -460,11 +448,11 @@ def _filter_update(model, kernel, factors, x_pred, p_pred, y, iters):
     return x, p, gain, fixed_point
 
 
-def _filter_step(model, kernel, factors, x, p, y, iters):
+def _filter_step(model, kernel, x, p, y, iters):
     """One predict/update cycle of a stack of runs (see `_filter_update`)."""
     x_pred = np.einsum("ij,rj->ri", model.F, x)
     p_pred = model.F @ p @ model.F.T + model.Q
-    return _filter_update(model, kernel, factors, x_pred, p_pred, y, iters)
+    return _filter_update(model, kernel, x_pred, p_pred, y, iters)
 
 
 def _checked_measurement(model: StateSpaceModel, belief: GaussianBelief, y, name: str):
@@ -493,17 +481,15 @@ def mckf_step(
     gain, the prior covariance and the nominal ``R``.  The report is the one
     `fixed_point_iterate` gives.
 
-    The inputs are checked once: the belief's dimension, a finite
-    measurement of length m, and ``R`` symmetric and positive definite
-    through its Cholesky factor.  A predicted covariance that does not
-    factorize raises `NotPositiveDefinite`; the posterior must be finite
-    and PSD.
+    The inputs are checked once: the belief's dimension and a finite
+    measurement of length m.  ``R`` was checked and factored when the model
+    was built.  A predicted covariance that does not factorize raises
+    `NotPositiveDefinite`; the posterior must be finite and PSD.
     """
     y = _checked_measurement(model, posterior_prev, y, "mckf_step")
     iters = np.zeros(1, dtype=np.int32)
     x, p, _, (weights, last_rel, capped) = _filter_step(
-        model, config, _measurement_factors(model.R),
-        posterior_prev.mean[None], posterior_prev.cov[None], y, iters,
+        model, config, posterior_prev.mean[None], posterior_prev.cov[None], y, iters
     )
     wts = WeightMatrices(cx=weights[0, :model.n], cy=weights[0, model.n:])
     report = FixedPointReport(int(iters[0]), capped.size == 0, wts, float(last_rel[0]))

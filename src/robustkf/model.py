@@ -10,12 +10,12 @@ large-variance second component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
-from .numerics import require_finite, require_symmetric
+from .numerics import cholesky_lower, require_finite, require_symmetric, solve_stack
 from .rng import RandomStream
 
 #: Relative tolerance on the PSD check for covariance matrices.
@@ -35,18 +35,57 @@ class StateSpaceModel:
 
     ``F`` is the n x n state transition matrix, ``H`` the m x n observation
     matrix, ``Q`` the process-noise covariance and ``R`` the measurement-noise
-    covariance.  Construction only coerces the arrays; call `validate_model`
-    to enforce the shape/symmetry/definiteness invariants.
+    covariance.  Construction copies the arrays, checks the invariants below
+    once, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing ``B_r``
+    and ``B_r_inv`` for every filter step.  All six arrays are read-only, so
+    neither the checks nor the factor can go stale.
+
+    Raises
+    ------
+    DimensionMismatch
+        F not square, or H/Q/R shapes inconsistent with (n, m).
+    NonFinite
+        Any of F, H, Q, R has NaN/Inf entries.
+    NotSymmetric
+        Q or R not symmetric within tolerance.
+    NotPositiveDefinite
+        R singular or indefinite (measurement noise must be invertible).
+    NotPSD
+        Q has an eigenvalue below ``-PSD_RTOL * max|Q|``.
     """
 
     F: np.ndarray
     H: np.ndarray
     Q: np.ndarray
     R: np.ndarray
+    B_r: np.ndarray = field(init=False, repr=False, compare=False)
+    B_r_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("F", "H", "Q", "R"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            arr = np.atleast_2d(np.array(getattr(self, name), dtype=float))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        F, H, Q, R = self.F, self.H, self.Q, self.R
+        for name, arr in (("F", F), ("H", H)):
+            require_finite(arr, f"StateSpaceModel.{name}")
+        if F.ndim != 2 or F.shape[0] != F.shape[1]:
+            raise DimensionMismatch(f"F must be square, got {F.shape}")
+        n = F.shape[0]
+        if H.ndim != 2 or H.shape[1] != n:
+            raise DimensionMismatch(f"H must be m x {n}, got {H.shape}")
+        m = H.shape[0]
+        if Q.shape != (n, n):
+            raise DimensionMismatch(f"Q must be {n} x {n}, got {Q.shape}")
+        if R.shape != (m, m):
+            raise DimensionMismatch(f"R must be {m} x {m}, got {R.shape}")
+        Q = require_symmetric(Q, "StateSpaceModel.Q")
+        if np.linalg.eigvalsh(require_symmetric(R, "StateSpaceModel.R"))[0] <= 0.0:
+            raise NotPositiveDefinite("R must be positive definite")
+        _require_psd(Q, "Q")
+        b_r = cholesky_lower(R)
+        for name, arr in (("B_r", b_r), ("B_r_inv", solve_stack(b_r, np.eye(m)))):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -157,40 +196,6 @@ def mixture_moments(spec: MixtureNoiseSpec) -> tuple[np.ndarray, np.ndarray]:
         means[i] = mean
         variances[i] = second - mean * mean
     return means, variances
-
-
-def validate_model(model: StateSpaceModel) -> None:
-    """Enforce the StateSpaceModel invariants.
-
-    Raises
-    ------
-    DimensionMismatch
-        F not square, or H/Q/R shapes inconsistent with (n, m).
-    NotSymmetric
-        Q or R not symmetric within tolerance.
-    NotPositiveDefinite
-        R singular or indefinite (measurement noise must be invertible).
-    NotPSD
-        Q has an eigenvalue below ``-PSD_RTOL * max|Q|``.
-    """
-    F, H, Q, R = model.F, model.H, model.Q, model.R
-    for name, arr in (("F", F), ("H", H)):
-        require_finite(arr, f"StateSpaceModel.{name}")
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise DimensionMismatch(f"F must be square, got {F.shape}")
-    n = F.shape[0]
-    if H.ndim != 2 or H.shape[1] != n:
-        raise DimensionMismatch(f"H must be m x {n}, got {H.shape}")
-    m = H.shape[0]
-    if Q.shape != (n, n):
-        raise DimensionMismatch(f"Q must be {n} x {n}, got {Q.shape}")
-    if R.shape != (m, m):
-        raise DimensionMismatch(f"R must be {m} x {m}, got {R.shape}")
-    Q = require_symmetric(Q, "StateSpaceModel.Q")
-    R = require_symmetric(R, "StateSpaceModel.R")
-    if np.linalg.eigvalsh(R)[0] <= 0.0:
-        raise NotPositiveDefinite("R must be positive definite")
-    _require_psd(Q, "Q")
 
 
 def sample_mixture(spec: MixtureNoiseSpec, rng: RandomStream) -> np.ndarray:

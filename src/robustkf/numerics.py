@@ -100,6 +100,13 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
     return lower.reshape(a.shape)
 
 
+def solve_stack(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
+    if s.shape[-1] == 1:
+        return b / s
+    return np.linalg.solve(s, b)
+
+
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor ``L`` with ``L @ L.T == a``.
 

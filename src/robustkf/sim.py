@@ -48,7 +48,6 @@ from .mckf import (
     KernelConfig,
     WeightMatrices,
     _filter_step,
-    _measurement_factors,
     build_regression,
     fixed_point_iterate,
     robust_gain,
@@ -59,7 +58,6 @@ from .model import (
     StateSpaceModel,
     mixture_moments,
     sample_mixture_sequence,
-    validate_model,
 )
 from .rng import RandomStream, substream_seed
 
@@ -197,11 +195,6 @@ class ExperimentConfig:
         if self.example == "custom" and self.custom_model is None:
             raise ConfigParseError("custom example requires custom_model")
         object.__setattr__(self, "filters", tuple(self.filters))
-        if self.true_x0 is not None:
-            x0, n = tuple(float(v) for v in self.true_x0), self.resolve_model().n
-            if len(x0) != n:
-                raise ConfigParseError(f"true_x0 has {len(x0)} entries, the model has {n} states")
-            object.__setattr__(self, "true_x0", x0)
         for name in ("assumed_q", "assumed_r"):
             value = getattr(self, name)
             if value is not None:
@@ -210,6 +203,13 @@ class ExperimentConfig:
                     name,
                     tuple(tuple(float(v) for v in row) for row in np.atleast_2d(value)),
                 )
+        # A bad assumed_q/assumed_r fails here, when the config is built.
+        n = self.filter_model().n
+        if self.true_x0 is not None:
+            x0 = tuple(float(v) for v in self.true_x0)
+            if len(x0) != n:
+                raise ConfigParseError(f"true_x0 has {len(x0)} entries, the model has {n} states")
+            object.__setattr__(self, "true_x0", x0)
 
     def resolve_model(self) -> StateSpaceModel:
         if self.example == "example1":
@@ -285,7 +285,7 @@ class ExperimentConfig:
             if custom is not None:
                 data["custom_model"] = StateSpaceModel(**custom)
             return cls(filters=tuple(filters), **data)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RobustKFError) as exc:
             raise ConfigParseError(str(exc)) from None
 
 
@@ -352,7 +352,8 @@ class ExperimentResult:
     failed runs are NaN there and excluded from the aggregates.  ``mse`` is
     the per-state mean of squared errors over all surviving runs and steps.
     ``iterations`` and ``nonconverged`` track the fixed-point solve (zero
-    for the baseline filter); ``avg_iterations`` is NaN for the baseline.
+    for the baseline filter and for failed runs); ``avg_iterations`` is NaN
+    for the baseline.
     """
 
     config: ExperimentConfig
@@ -381,7 +382,8 @@ def _reference_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
     Each step composes the one-regression primitives: `kf_predict`,
     `build_regression`, the KF's gain (`robust_gain` at unit weights) or the
     MCKF's `fixed_point_iterate`, and `_joseph`.  A run that raises a
-    `RobustKFError` is left NaN, with no iterations.
+    `RobustKFError` stops there, NaN from that step on, and `run_monte_carlo`
+    marks it failed.
     """
     runs, steps, n = x0_hats.shape[0], ys.shape[1], fmodel.n
     est = np.full((runs, steps, n), np.nan)
@@ -407,10 +409,7 @@ def _reference_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
                 if collect_cov:
                     covs[run, k] = belief.cov
         except RobustKFError:
-            est[run] = np.nan
-            iters[run] = nonconv[run] = 0
-            if collect_cov:
-                covs[run] = np.nan
+            pass
     return est, iters, nonconv, covs
 
 
@@ -424,9 +423,8 @@ def _batched_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
     iters = np.zeros((runs, steps), dtype=np.int32)
     nonconv = np.zeros(runs, dtype=np.int32)
     covs = np.empty((runs, steps, n, n)) if collect_cov else None
-    factors = None if kernel is None else _measurement_factors(fmodel.R)
     for k in range(steps):
-        x, p, _, fixed_point = _filter_step(fmodel, kernel, factors, x, p, ys[:, k], iters[:, k])
+        x, p, _, fixed_point = _filter_step(fmodel, kernel, x, p, ys[:, k], iters[:, k])
         if fixed_point is not None:
             nonconv[fixed_point[2]] += 1
         est[:, k] = x
@@ -457,9 +455,7 @@ def run_monte_carlo(
     if engine not in ("batched", "reference"):
         raise ConfigParseError(f"unknown engine {engine!r}")
     model = config.resolve_model()
-    validate_model(model)
     fmodel = config.filter_model()
-    validate_model(fmodel)
     runs, steps, n = config.runs, config.steps, model.n
     nfilters = len(config.filters)
     p0 = config.p0_scale * np.eye(n)
@@ -479,11 +475,13 @@ def run_monte_carlo(
             est, iterations[fi], nonconverged[fi], covs = run_filter(
                 fmodel, spec.kernel, x0_hats, p0, ys, collect_covariances
             )
-            failed[fi] = ~np.all(np.isfinite(est), axis=(1, 2))
-            est[failed[fi]] = np.nan
+            failed[fi] = bad = ~np.all(np.isfinite(est), axis=(1, 2))
+            est[bad] = np.nan
+            iterations[fi, bad] = nonconverged[fi, bad] = 0
             errors[fi] = est - truths
             if collect_covariances:
                 covariances[fi] = covs
+                covariances[fi, bad] = np.nan
 
     mse = np.empty((nfilters, n))
     avg_iterations = np.full(nfilters, np.nan)

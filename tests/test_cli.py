@@ -70,6 +70,11 @@ _MODEL_1X1 = {"F": [[1.0]], "H": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
         {"example": "custom", "custom_model": [[1.0]]},
         {"example": "custom", "custom_model": {**_MODEL_1X1, "F": [["a"]]}},
         {"example": "example1", "true_x0": [0, 0, 0]},
+        {"example": "custom", "custom_model": {**_MODEL_1X1, "H": [[1.0, 0.0]]}},
+        {"example": "custom", "custom_model": {**_MODEL_1X1, "R": [[0.0]]}},
+        {"example": "custom", "custom_model": {**_MODEL_1X1, "Q": [[-1.0]]}},
+        {"example": "example1", "true_x0": [0, 0], "assumed_r": [[1, 0], [0, 1]]},
+        {"example": "example1", "true_x0": [0, 0], "assumed_q": [[1, 0.5], [0, 1]]},
     ],
 )
 def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):

@@ -16,44 +16,60 @@ from robustkf import (
     make_example2,
     sample_mixture,
     sample_mixture_sequence,
-    validate_model,
 )
 
 IMPULSIVE = ((0.9, 0.0, 0.01), (0.1, 0.0, 100.0))
 
 
 class TestValidateModel:
+    """The invariants a `StateSpaceModel` checks when it is built."""
+
     def test_example1_model_is_valid(self):
-        validate_model(make_example1())
+        model = make_example1()
+        np.testing.assert_array_equal(model.B_r, np.sqrt(model.R))
 
     def test_wrong_observation_width(self):
-        model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 3)), Q=np.eye(2), R=[[1.0]])
         with pytest.raises(DimensionMismatch):
-            validate_model(model)
+            StateSpaceModel(F=np.eye(2), H=np.ones((1, 3)), Q=np.eye(2), R=[[1.0]])
 
     def test_zero_measurement_variance_rejected(self):
-        model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=[[0.0]])
         with pytest.raises(NotPositiveDefinite):
-            validate_model(model)
+            StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=[[0.0]])
 
     def test_indefinite_process_noise_rejected(self):
-        model = StateSpaceModel(
-            F=np.eye(2), H=np.ones((1, 2)), Q=np.diag([1.0, -1e-3]), R=[[1.0]]
-        )
         with pytest.raises(NotPSD):
-            validate_model(model)
+            StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.diag([1.0, -1e-3]), R=[[1.0]])
 
     def test_asymmetric_noise_rejected(self):
-        model = StateSpaceModel(
-            F=np.eye(2), H=np.ones((1, 2)), Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]]
-        )
         with pytest.raises(NotSymmetric):
-            validate_model(model)
+            StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]])
 
     def test_nonsquare_transition_rejected(self):
-        model = StateSpaceModel(F=np.ones((2, 3)), H=np.ones((1, 3)), Q=np.eye(3), R=[[1.0]])
         with pytest.raises(DimensionMismatch):
-            validate_model(model)
+            StateSpaceModel(F=np.ones((2, 3)), H=np.ones((1, 3)), Q=np.eye(3), R=[[1.0]])
+
+    def test_small_asymmetry_in_process_noise_rejected(self):
+        with pytest.raises(NotSymmetric):
+            StateSpaceModel(
+                F=np.eye(2), H=np.ones((1, 2)), Q=[[0.01, 0.004], [0.0, 0.01]], R=[[1.0]]
+            )
+
+    def test_measurement_noise_factor(self):
+        R = np.array([[2.0, 0.5], [0.5, 1.0]])
+        model = StateSpaceModel(F=np.eye(2), H=np.eye(2), Q=np.eye(2), R=R)
+        np.testing.assert_allclose(model.B_r @ model.B_r.T, R, rtol=1e-15)
+        np.testing.assert_allclose(model.B_r_inv @ model.B_r, np.eye(2), atol=1e-15)
+        assert np.all(np.triu(model.B_r, 1) == 0.0)
+
+    def test_arrays_are_read_only_copies(self):
+        R = np.array([[1.0]])
+        model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=R)
+        with pytest.raises(ValueError):
+            model.R[0, 0] = 2.0
+        for name in ("F", "H", "Q", "R", "B_r", "B_r_inv"):
+            assert not getattr(model, name).flags.writeable, name
+        R[0, 0] = 4.0
+        assert model.R[0, 0] == 1.0 and model.B_r[0, 0] == 1.0
 
 
 class TestGaussianBelief:

@@ -252,6 +252,22 @@ class TestRunMonteCarlo:
         np.testing.assert_array_equal(fast.failed_runs, np.ones((2, 2), dtype=bool))
         np.testing.assert_array_equal(slow.failed_runs, fast.failed_runs)
 
+    def test_failed_runs_report_no_iterations_on_both_engines(self):
+        # Every run diverges, each after hundreds of fixed-point iterations.
+        model = StateSpaceModel(
+            F=np.diag([50.0, 1.0]), H=[[1.0, 1.0]], Q=0.01 * np.eye(2), R=[[0.01]]
+        )
+        kernel = KernelConfig(sigma=0.5, epsilon=1e-6, max_iterations=3)
+        config = small_config(
+            example="custom", custom_model=model, true_x0=(0.0, 0.0), runs=3, steps=400,
+            noise_case="impulsive-both", filters=(FilterSpec("mckf", kernel),), master_seed=3,
+        )
+        for engine in ("batched", "reference"):
+            result = run_monte_carlo(config, engine=engine, collect_covariances=True)
+            assert result.failed_runs.all(), engine
+            assert not result.iterations.any() and not result.nonconverged.any(), engine
+            assert np.isnan(result.covariances).all(), engine
+
     def test_huge_bandwidth_matches_baseline_mse(self):
         config = small_config(
             runs=10,
