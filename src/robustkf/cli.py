@@ -101,7 +101,7 @@ def _write_table(path: Path, comment: str, columns: list[str], rows: list[list],
         payload = {
             "comment": comment,
             "columns": columns,
-            "rows": [[None if v is None else v for v in row] for row in rows],
+            "rows": rows,
         }
         text = json.dumps(payload, sort_keys=True, indent=2)
     _write_text(path, text + "\n")
@@ -134,9 +134,10 @@ def _resolve_seed(ns, file_config: dict) -> int:
             return int(env)
         except ValueError:
             raise ConfigParseError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    if "master_seed" in file_config:
-        return int(file_config["master_seed"])
-    return DEFAULT_SEED
+    seed = file_config.get("master_seed", DEFAULT_SEED)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigParseError(f"master_seed {seed!r} is not an integer")
+    return seed
 
 
 def _load_config_file(path: str | None) -> dict:

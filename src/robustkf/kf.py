@@ -4,7 +4,7 @@ These are the baseline estimator.  `kf_predict` is the prior propagation the
 reference Monte Carlo engine composes with the correntropy update;
 `kf_update` is the kernel-free case of the stacked update the filters share
 (`robustkf.mckf._filter_update`), run on one trajectory.  Both functions are
-pure; covariances are symmetrized before constructing the returned belief.
+pure; the returned beliefs hold symmetrized covariances.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBel
             f"belief dim {posterior.dim} does not match model state dim {model.n}"
         )
     mean = model.F @ posterior.mean
-    cov = model.F @ posterior.cov @ model.F.T + model.Q
-    return GaussianBelief(mean, (cov + cov.T) / 2.0)
+    return GaussianBelief(mean, model.F @ posterior.cov @ model.F.T + model.Q)
 
 
 def kf_update(

@@ -103,14 +103,16 @@ class GaussianBelief:
 
     Invariants are enforced at construction: ``cov`` must be square,
     consistent with ``mean``, symmetric within tolerance, and PSD up to
-    ``-PSD_RTOL * max|cov|`` on its smallest eigenvalue.
+    ``-PSD_RTOL * max|cov|`` on its smallest eigenvalue.  The belief keeps
+    what it checked: a copy of ``mean`` and the symmetrized copy of ``cov``,
+    so later writes to the caller's arrays do not reach it.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = require_finite(np.atleast_1d(self.mean), "GaussianBelief.mean")
+        mean = require_finite(np.array(self.mean, dtype=float, ndmin=1), "GaussianBelief.mean")
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if mean.ndim != 1:
             raise DimensionMismatch("GaussianBelief.mean must be a vector")
@@ -118,7 +120,9 @@ class GaussianBelief:
             raise DimensionMismatch(
                 f"GaussianBelief.cov shape {cov.shape} does not match state dim {mean.size}"
             )
-        _require_psd(require_symmetric(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
+        # The symmetrized copy overflows where an entry nears the float maximum.
+        cov = require_finite(require_symmetric(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
+        _require_psd(cov, "GaussianBelief.cov")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

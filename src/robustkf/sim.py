@@ -24,20 +24,21 @@ stacked operations, so the run's estimates and iteration counts are
 bit-identical whatever the number of runs, and whichever other runs are
 still iterating beside it.
 
-Two independent execution engines produce the same numbers.  The
-``batched`` engine (the default) advances all runs at once through the
-filters' stacked step, `robustkf.mckf._filter_step`, which `mckf_step` and
-`kf_update` run for a single run; its fixed-point solve works only on the
-runs still iterating.  The ``reference`` engine steps one run at a time
-through `kf_predict`, `build_regression`, `fixed_point_iterate` (the KF:
-`robust_gain` at unit weights) and a Joseph update of its own.  A run whose
-numbers overflow is marked failed by either engine; it does not stop the
-experiment.
+One loop in `run_monte_carlo` fills the results; an engine is only the
+step it calls, and both give the same numbers.  The ``batched`` step (the
+default) advances all runs at once through the filters' stacked step,
+`robustkf.mckf._filter_step`, which `mckf_step` and `kf_update` run for a
+single run; its fixed-point solve works only on the runs still iterating.
+The independent ``reference`` step advances one run at a time through
+`kf_predict`, `build_regression`, `fixed_point_iterate` (the KF:
+`robust_gain` at unit weights) and a Joseph update of its own.  The loop
+marks a run whose numbers overflow failed; it does not stop the experiment.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -188,12 +189,18 @@ class ExperimentConfig:
             raise ConfigParseError(f"unknown example {self.example!r}")
         if self.noise_case not in NOISE_CASES:
             raise ConfigParseError(f"unknown noise case {self.noise_case!r}")
-        if self.runs < 1 or self.steps < 1:
-            raise ConfigParseError("runs and steps must both be >= 1")
+        for name in ("runs", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigParseError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("init_perturb_var", "p0_scale"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ConfigParseError(f"{name} must be a finite number >= 0, got {value!r}")
         if not self.filters:
             raise ConfigParseError("at least one filter is required")
-        if self.example == "custom" and self.custom_model is None:
-            raise ConfigParseError("custom example requires custom_model")
+        if self.example == "custom" and (self.custom_model is None or self.true_x0 is None):
+            raise ConfigParseError("custom example requires custom_model and true_x0")
         object.__setattr__(self, "filters", tuple(self.filters))
         for name in ("assumed_q", "assumed_r"):
             value = getattr(self, name)
@@ -209,6 +216,8 @@ class ExperimentConfig:
             x0 = tuple(float(v) for v in self.true_x0)
             if len(x0) != n:
                 raise ConfigParseError(f"true_x0 has {len(x0)} entries, the model has {n} states")
+            if not all(map(math.isfinite, x0)):
+                raise ConfigParseError(f"true_x0 {x0} has non-finite entries")
             object.__setattr__(self, "true_x0", x0)
 
     def resolve_model(self) -> StateSpaceModel:
@@ -223,9 +232,7 @@ class ExperimentConfig:
             return np.asarray(self.true_x0, dtype=float)
         if self.example == "example1":
             return np.zeros(2)
-        if self.example == "example2":
-            return np.array([0.0, 0.0, 1.0])
-        raise ConfigParseError("custom example requires true_x0")
+        return np.array([0.0, 0.0, 1.0])
 
     def filter_model(self) -> StateSpaceModel:
         """The model the filters assume.
@@ -263,7 +270,10 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         filters = []
-        for f in data.pop("filters", [{"kind": "kf"}]):
+        specs = data.pop("filters", [{"kind": "kf"}])
+        if not isinstance(specs, list) or not all(isinstance(f, dict) for f in specs):
+            raise ConfigParseError(f"filters must be a list of objects, got {specs!r}")
+        for f in specs:
             kind = f.get("kind")
             if kind not in ("kf", "mckf"):
                 raise ConfigParseError(f"unknown filter kind {kind!r}")
@@ -365,9 +375,6 @@ class ExperimentResult:
     failed_runs: np.ndarray
     covariances: np.ndarray | None = None
 
-    def filter_labels(self) -> list[str]:
-        return [f.label for f in self.config.filters]
-
 
 def _joseph(model, p, gain):
     """Joseph-form covariance ``(I - K H) P (I - K H)' + K R K'``, symmetrized."""
@@ -376,61 +383,40 @@ def _joseph(model, p, gain):
     return (cov + cov.T) / 2.0
 
 
-def _reference_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
-    """One filter over every run, a run and a step at a time; ``kernel is None`` is the KF.
+def _reference_step(model, kernel, x, p, y, iters):
+    """One step of every run, a run at a time; ``kernel is None`` is the KF.
 
-    Each step composes the one-regression primitives: `kf_predict`,
+    Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``,
     `build_regression`, the KF's gain (`robust_gain` at unit weights) or the
     MCKF's `fixed_point_iterate`, and `_joseph`.  A run that raises a
-    `RobustKFError` stops there, NaN from that step on, and `run_monte_carlo`
-    marks it failed.
+    `RobustKFError` (a failed run's NaN estimate does) is NaN after the
+    step, so it stays failed.  ``capped`` lists the runs that hit the cap.
     """
-    runs, steps, n = x0_hats.shape[0], ys.shape[1], fmodel.n
-    est = np.full((runs, steps, n), np.nan)
-    iters = np.zeros((runs, steps), dtype=np.int32)
-    nonconv = np.zeros(runs, dtype=np.int32)
-    covs = np.full((runs, steps, n, n), np.nan) if collect_cov else None
-    unit = WeightMatrices(cx=np.ones(n), cy=np.ones(fmodel.m))
-    for run in range(runs):
-        belief = GaussianBelief(x0_hats[run], p0)
+    x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
+    capped = []
+    unit = WeightMatrices(cx=np.ones(model.n), cy=np.ones(model.m))
+    for run in range(x.shape[0]):
         try:
-            for k in range(steps):
-                prior = kf_predict(fmodel, belief)
-                reg = build_regression(fmodel, prior, ys[run, k])
-                if kernel is None:
-                    gain = robust_gain(reg, unit)[0]
-                    x = prior.mean + gain @ (reg.y - fmodel.H @ prior.mean)
-                else:
-                    x, gain, report = fixed_point_iterate(reg, kernel)
-                    iters[run, k] = report.iterations
-                    nonconv[run] += not report.converged
-                belief = GaussianBelief(x, _joseph(fmodel, prior.cov, gain))
-                est[run, k] = belief.mean
-                if collect_cov:
-                    covs[run, k] = belief.cov
+            prior = kf_predict(model, GaussianBelief(x[run], p[run]))
+            reg = build_regression(model, prior, y[run])
+            if kernel is None:
+                gain = robust_gain(reg, unit)[0]
+                x_new[run] = prior.mean + gain @ (reg.y - model.H @ prior.mean)
+            else:
+                x_new[run], gain, report = fixed_point_iterate(reg, kernel)
+                iters[run] = report.iterations
+                if not report.converged:
+                    capped.append(run)
+            p_new[run] = _joseph(model, prior.cov, gain)
         except RobustKFError:
-            pass
-    return est, iters, nonconv, covs
+            x_new[run] = np.nan
+    return x_new, p_new, capped
 
 
-def _batched_filter(fmodel, kernel, x0_hats, p0, ys, collect_cov):
-    """One filter over every run at once, `_filter_step` over all runs per step."""
-    runs, steps, _ = ys.shape
-    n = fmodel.n
-    x = x0_hats.copy()
-    p = np.broadcast_to(p0, (runs, n, n)).copy()
-    est = np.empty((runs, steps, n))
-    iters = np.zeros((runs, steps), dtype=np.int32)
-    nonconv = np.zeros(runs, dtype=np.int32)
-    covs = np.empty((runs, steps, n, n)) if collect_cov else None
-    for k in range(steps):
-        x, p, _, fixed_point = _filter_step(fmodel, kernel, x, p, ys[:, k], iters[:, k])
-        if fixed_point is not None:
-            nonconv[fixed_point[2]] += 1
-        est[:, k] = x
-        if collect_cov:
-            covs[:, k] = p
-    return est, iters, nonconv, covs
+def _batched_step(model, kernel, x, p, y, iters):
+    """`_filter_step` over all runs, returning ``(x, p, capped)``."""
+    x, p, _, fixed_point = _filter_step(model, kernel, x, p, y, iters)
+    return x, p, [] if fixed_point is None else fixed_point[2]
 
 
 def run_monte_carlo(
@@ -440,15 +426,19 @@ def run_monte_carlo(
 ) -> ExperimentResult:
     """Run the full experiment described by ``config``.
 
+    The only loop over time steps: per filter, it calls the engine's step
+    ``(x, p, y, iters) -> (x, p, capped)`` on all runs once per step and
+    writes estimates, iteration counts, cap hits and covariances straight
+    into the results.  A run fails when its estimate is not finite; its
+    errors and covariances are then NaN and its iteration counts zero.
+
     Parameters
     ----------
     config : ExperimentConfig
         Model, noise case, run/step counts, filter list and master seed.
     engine : {"batched", "reference"}
-        Execution strategy.  Both produce the same numbers and mark a run
-        that fails numerically failed; the reference engine steps through
-        the one-regression primitives run by run, the batched engine
-        advances all runs at once and is the fast default.
+        The step: `_filter_step` over all runs at once (the fast default)
+        or `_reference_step`, run by run.  Both give the same numbers.
     collect_covariances : bool
         Also record the posterior covariance at every step (memory permitting).
     """
@@ -458,29 +448,32 @@ def run_monte_carlo(
     fmodel = config.filter_model()
     runs, steps, n = config.runs, config.steps, model.n
     nfilters = len(config.filters)
-    p0 = config.p0_scale * np.eye(n)
+    step = _batched_step if engine == "batched" else _reference_step
 
     errors = np.empty((nfilters, runs, steps, n))
-    iterations = np.empty((nfilters, runs, steps), dtype=np.int32)
-    nonconverged = np.empty((nfilters, runs), dtype=np.int32)
+    iterations = np.zeros((nfilters, runs, steps), dtype=np.int32)
+    nonconverged = np.zeros((nfilters, runs), dtype=np.int32)
     failed = np.empty((nfilters, runs), dtype=bool)
     covariances = np.empty((nfilters, runs, steps, n, n)) if collect_covariances else None
-    run_filter = _batched_filter if engine == "batched" else _reference_filter
 
     # A diverging run overflows to Inf and NaN; it is marked failed below,
     # so the floating-point warnings on the way there carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
         x0_hats, truths, ys = _generate(config, model, range(runs))
+        p0s = np.broadcast_to(config.p0_scale * np.eye(n), (runs, n, n)).copy()
         for fi, spec in enumerate(config.filters):
-            est, iterations[fi], nonconverged[fi], covs = run_filter(
-                fmodel, spec.kernel, x0_hats, p0, ys, collect_covariances
-            )
-            failed[fi] = bad = ~np.all(np.isfinite(est), axis=(1, 2))
-            est[bad] = np.nan
+            x, p = x0_hats, p0s
+            for k in range(steps):
+                x, p, capped = step(fmodel, spec.kernel, x, p, ys[:, k], iterations[fi, :, k])
+                nonconverged[fi, capped] += 1
+                errors[fi, :, k] = x
+                if collect_covariances:
+                    covariances[fi, :, k] = p
+            failed[fi] = bad = ~np.all(np.isfinite(errors[fi]), axis=(1, 2))
+            errors[fi, bad] = np.nan
+            errors[fi] -= truths
             iterations[fi, bad] = nonconverged[fi, bad] = 0
-            errors[fi] = est - truths
             if collect_covariances:
-                covariances[fi] = covs
                 covariances[fi, bad] = np.nan
 
     mse = np.empty((nfilters, n))

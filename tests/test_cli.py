@@ -1,8 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
-from robustkf import NonFinite
+from robustkf import (
+    ExperimentConfig,
+    GaussianBelief,
+    NonFinite,
+    build_regression,
+    generate_run_data,
+    kf_predict,
+    kf_update,
+    sufficient_sigma,
+    zeta,
+)
 from robustkf.cli import _write_table, run_cli
 
 
@@ -44,6 +55,7 @@ class TestFlops:
         ["diagnose", "--beta", "nan"],
         ["flops", "--n", "0", "--m", "1", "--t", "1"],
         ["bench", "--sigma", "1", "--max-iterations", "0", "--runs", "2", "--steps", "5"],
+        ["diagnose", "--snapshot-step", "0"],
     ],
 )
 def test_bad_argument_is_config_error(capsys, args):
@@ -80,6 +92,29 @@ _MODEL_1X1 = {"F": [[1.0]], "H": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
 def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"true_x0": [0.0], "runs": 2, "steps": 5, **config}))
+    assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"init_perturb_var": -1},
+        {"init_perturb_var": "x"},
+        {"p0_scale": -1},
+        {"runs": 2.5},
+        {"runs": True},
+        {"master_seed": "abc"},
+        {"master_seed": None},
+        {"filters": "kf"},
+        {"true_x0": [float("inf"), 0.0]},
+        {"example": "custom", "custom_model": _MODEL_1X1},
+    ],
+)
+def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"runs": 2, "steps": 5, **config}))
     assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
@@ -253,3 +288,32 @@ class TestDiagnose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma_min"] >= max(payload["sigma_star"], payload["sigma_dagger"]) - 1e-12
         assert payload["beta"] > payload["zeta"]
+
+    def test_snapshot_step_is_the_kf_prior_of_that_step(self, capsys):
+        code = run_cli([
+            "diagnose", "--example", "2", "--noise", "impulsive", "--seed", "3",
+            "--snapshot-step", "50", "--format", "json",
+        ])
+        assert code == 0
+        config = ExperimentConfig(
+            example="example2", noise_case="impulsive-measurement", runs=1, steps=50, master_seed=3
+        )
+        data = generate_run_data(config, 0)
+        model = config.filter_model()
+        belief = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(model.n))
+        for y in data.measurements[:-1]:
+            belief, _ = kf_update(model, kf_predict(model, belief), y)
+        prior = kf_predict(model, belief)
+        reg = build_regression(model, prior, data.measurements[-1])
+        beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
+        cert = sufficient_sigma(reg, beta, 0.5)
+        assert json.loads(capsys.readouterr().out) == {
+            "alpha": cert.alpha,
+            "beta": cert.beta,
+            "zeta": cert.zeta,
+            "sigma_star": cert.sigma_star,
+            "sigma_dagger": cert.sigma_dagger,
+            "sigma_min": cert.sigma_min,
+            "snapshot_step": 50,
+            "seed": 3,
+        }

@@ -7,6 +7,7 @@ from robustkf import (
     DimensionMismatch,
     GaussianBelief,
     MixtureNoiseSpec,
+    NonFinite,
     NotPSD,
     NotPositiveDefinite,
     NotSymmetric,
@@ -84,6 +85,25 @@ class TestGaussianBelief:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             GaussianBelief([0.0, 0.0], np.eye(3))
+
+    def test_later_writes_to_the_inputs_do_not_reach_it(self):
+        mean, cov = np.zeros(2), np.eye(2)
+        belief = GaussianBelief(mean, cov)
+        cov[0, 1] = 5.0
+        mean[0] = np.nan
+        np.testing.assert_array_equal(belief.cov, np.eye(2))
+        np.testing.assert_array_equal(belief.mean, np.zeros(2))
+
+    def test_stores_the_symmetrized_covariance(self):
+        # Asymmetric by 1e-12, inside the symmetry tolerance.
+        cov = np.array([[1.0, 0.3], [0.3 + 1e-12, 1.0]])
+        belief = GaussianBelief([0.0, 0.0], cov)
+        np.testing.assert_array_equal(belief.cov, belief.cov.T)
+        np.testing.assert_array_equal(belief.cov, (cov + cov.T) / 2.0)
+
+    def test_rejects_a_covariance_whose_symmetrized_copy_overflows(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            GaussianBelief([0.0, 0.0], [[1.5e308, 0.0], [0.0, 1.0]])
 
 
 class TestMixtureNoiseSpec:

@@ -8,6 +8,7 @@ import pytest
 import robustkf.mckf
 import robustkf.sim
 from robustkf import (
+    ConfigParseError,
     EmptyInput,
     RandomStream,
     ExperimentConfig,
@@ -287,6 +288,11 @@ class TestRunMonteCarlo:
         assert result.iterations[1].min() >= 1
         assert result.nonconverged.min() >= 0
 
+    def test_custom_example_without_true_x0_is_rejected_when_built(self):
+        model = StateSpaceModel(F=[[1.0]], H=[[1.0]], Q=[[1.0]], R=[[1.0]])
+        with pytest.raises(ConfigParseError, match="true_x0"):
+            small_config(example="custom", custom_model=model)
+
     def test_collect_covariances(self):
         result = run_monte_carlo(small_config(runs=2, steps=10), collect_covariances=True)
         assert result.covariances.shape == (2, 2, 10, 2, 2)
@@ -328,11 +334,13 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_matches_reference_engine(self, case):
         config = small_config(**ENGINE_CASES[case])
-        fast = run_monte_carlo(config, engine="batched")
-        slow = run_monte_carlo(config, engine="reference")
+        fast = run_monte_carlo(config, engine="batched", collect_covariances=True)
+        slow = run_monte_carlo(config, engine="reference", collect_covariances=True)
         np.testing.assert_allclose(fast.errors, slow.errors, atol=1e-9)
         np.testing.assert_array_equal(fast.iterations, slow.iterations)
         np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
+        np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
+        np.testing.assert_allclose(fast.covariances, slow.covariances, rtol=0.0, atol=1e-12)
 
     def test_cases_reach_their_branches(self):
         spread = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"])).iterations[1]
