@@ -134,10 +134,7 @@ def _resolve_seed(ns, file_config: dict) -> int:
             return int(env)
         except ValueError:
             raise ConfigParseError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    seed = file_config.get("master_seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigParseError(f"master_seed {seed!r} is not an integer")
-    return seed
+    return file_config.get("master_seed", DEFAULT_SEED)
 
 
 def _load_config_file(path: str | None) -> dict:

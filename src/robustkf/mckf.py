@@ -34,6 +34,7 @@ that limit is approached as the bandwidth grows.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,9 @@ class KernelConfig:
             raise InvalidBandwidth(f"sigma must be > 0, got {self.sigma}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
         if self.step_norm not in ("l2", "l1"):
             raise ValueError("step_norm must be 'l2' or 'l1'")
 
@@ -421,9 +423,12 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     `fixed_point_iterate` returns.  The Joseph update takes that gain, the
     prior covariance and the nominal ``R``.  Every product is per run
     (stacked ``@``, or ``einsum`` where ``@`` would be one BLAS product over
-    all runs), so no run's numbers depend on the stack.  Returns ``(x, P,
-    gain, fixed_point)``: ``fixed_point`` is `_fixed_point`'s ``(weights,
-    last_rel, capped)``, or ``None`` for the KF.
+    all runs), so no run's numbers depend on the stack.  The KF's ``P`` may
+    be one ``(1, n, n)`` covariance shared by all runs (its recursion reads
+    no measurements); stacked ``@`` then broadcasts its one gain over the
+    runs' innovations.  Returns ``(x, P, gain, fixed_point)``:
+    ``fixed_point`` is `_fixed_point`'s ``(weights, last_rel, capped)``, or
+    ``None`` for the KF.
     """
     H, R = model.H, model.R
     n = x_pred.shape[1]

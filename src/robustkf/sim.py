@@ -29,6 +29,9 @@ step it calls, and both give the same numbers.  The ``batched`` step (the
 default) advances all runs at once through the filters' stacked step,
 `robustkf.mckf._filter_step`, which `mckf_step` and `kf_update` run for a
 single run; its fixed-point solve works only on the runs still iterating.
+Its KF carries one covariance for all runs: ``P`` and the gain follow the
+Riccati recursion, which reads no measurements, from the same ``p0`` in
+every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
 The independent ``reference`` step advances one run at a time through
 `kf_predict`, `build_regression`, `fixed_point_iterate` (the KF:
 `robust_gain` at unit weights) and a Joseph update of its own.  The loop
@@ -193,6 +196,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigParseError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, numbers.Integral):
+            raise ConfigParseError(f"master_seed {self.master_seed!r} is not an integer")
         for name in ("init_perturb_var", "p0_scale"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
@@ -274,17 +279,15 @@ class ExperimentConfig:
         if not isinstance(specs, list) or not all(isinstance(f, dict) for f in specs):
             raise ConfigParseError(f"filters must be a list of objects, got {specs!r}")
         for f in specs:
-            kind = f.get("kind")
+            kind, params = f.get("kind"), {k: v for k, v in f.items() if k != "kind"}
             if kind not in ("kf", "mckf"):
                 raise ConfigParseError(f"unknown filter kind {kind!r}")
+            if kind == "kf" and params:
+                raise ConfigParseError(f"a kf filter takes no {sorted(params)}")
             try:
-                kernel = None if kind == "kf" else KernelConfig(
-                    sigma=f["sigma"],
-                    epsilon=f["epsilon"],
-                    max_iterations=int(f.get("max_iterations", 100)),
-                    step_norm=f.get("step_norm", "l2"),
-                )
-            except (KeyError, TypeError, ValueError, InvalidBandwidth) as exc:
+                # KernelConfig rejects a key it does not take (TypeError).
+                kernel = None if kind == "kf" else KernelConfig(**params)
+            except (TypeError, ValueError, InvalidBandwidth) as exc:
                 raise ConfigParseError(f"invalid mckf filter {f}: {exc}") from None
             filters.append(FilterSpec(kind, kernel))
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -431,6 +434,8 @@ def run_monte_carlo(
     writes estimates, iteration counts, cap hits and covariances straight
     into the results.  A run fails when its estimate is not finite; its
     errors and covariances are then NaN and its iteration counts zero.
+    The batched KF steps one ``(1, n, n)`` covariance, the same for every
+    run (see the module docstring), and its gain broadcasts over the runs.
 
     Parameters
     ----------
@@ -462,7 +467,8 @@ def run_monte_carlo(
         x0_hats, truths, ys = _generate(config, model, range(runs))
         p0s = np.broadcast_to(config.p0_scale * np.eye(n), (runs, n, n)).copy()
         for fi, spec in enumerate(config.filters):
-            x, p = x0_hats, p0s
+            shared = engine == "batched" and spec.kernel is None
+            x, p = x0_hats, p0s[:1] if shared else p0s
             for k in range(steps):
                 x, p, capped = step(fmodel, spec.kernel, x, p, ys[:, k], iterations[fi, :, k])
                 nonconverged[fi, capped] += 1

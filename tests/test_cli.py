@@ -110,6 +110,9 @@ def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
         {"filters": "kf"},
         {"true_x0": [float("inf"), 0.0]},
         {"example": "custom", "custom_model": _MODEL_1X1},
+        {"filters": [{"kind": "kf", "sigma": 2}]},
+        {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": 1e-6, "max_iterations": 2.5}]},
+        {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": 1e-6, "sigmaa": 3}]},
     ],
 )
 def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):

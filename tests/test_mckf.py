@@ -90,6 +90,11 @@ class TestKernelConfig:
         with pytest.raises(ValueError):
             KernelConfig(sigma=1.0, epsilon=1e-6, max_iterations=0)
 
+    @pytest.mark.parametrize("cap", [2.5, True, "3"])
+    def test_rejects_an_iteration_cap_that_is_not_an_integer(self, cap):
+        with pytest.raises(ValueError, match="max_iterations"):
+            KernelConfig(sigma=1.0, epsilon=1e-6, max_iterations=cap)
+
 
 class TestBuildRegression:
     def test_identity_whitening(self, rng):

@@ -293,6 +293,11 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigParseError, match="true_x0"):
             small_config(example="custom", custom_model=model)
 
+    @pytest.mark.parametrize("seed", ["abc", None, 2.5, True])
+    def test_master_seed_that_is_not_an_integer_is_rejected_when_built(self, seed):
+        with pytest.raises(ConfigParseError, match="master_seed"):
+            small_config(master_seed=seed)
+
     def test_collect_covariances(self):
         result = run_monte_carlo(small_config(runs=2, steps=10), collect_covariances=True)
         assert result.covariances.shape == (2, 2, 10, 2, 2)
@@ -389,6 +394,28 @@ class TestBatchedEngine:
                 )
             np.testing.assert_array_equal(est - data.truths, result.errors[fi, run])
             np.testing.assert_array_equal(iters, result.iterations[fi, run])
+
+    @pytest.mark.parametrize("case", ["impulsive-both", "two-measurements"])
+    def test_kf_covariance_is_one_track_for_all_runs(self, case):
+        config = small_config(**ENGINE_CASES[case])
+        fi = next(i for i, f in enumerate(config.filters) if f.kind == "kf")
+        wide = run_monte_carlo(config, collect_covariances=True).covariances[fi]
+        single = run_monte_carlo(replace(config, runs=1), collect_covariances=True).covariances[fi]
+        assert np.all(wide == wide[:1])
+        np.testing.assert_array_equal(wide[:1], single)
+
+    def test_kf_gain_is_formed_once_per_step(self, monkeypatch):
+        widths = []
+        gain = robustkf.mckf._gain
+
+        def counting_gain(H, p, r):
+            widths.append(p.shape[0])
+            return gain(H, p, r)
+
+        monkeypatch.setattr(robustkf.mckf, "_gain", counting_gain)
+        config = small_config(runs=5, filters=(FilterSpec("kf"),))
+        run_monte_carlo(config)
+        assert widths == [1] * config.steps
 
     def test_kernel_evaluated_once_per_iteration(self, monkeypatch):
         rows = []
