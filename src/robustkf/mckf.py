@@ -25,7 +25,9 @@ solve is a ``numpy.linalg`` call.
 
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
-runs at once.  The one-regression functions here (`build_regression`,
+runs at once.  It iterates in whitened measurement coordinates and forms
+its final gain from the same innovation matrices (`_whitened_system`).
+The one-regression functions here (`build_regression`,
 `fixed_point_iterate`, ...) are the reference engine's independent
 implementation, and the direct form a cross-check of both.  With all kernel
 weights equal to one, the forms collapse to the ordinary Kalman update, and
@@ -358,72 +360,83 @@ def _gain(H, p, r):
     return _mT(solve_stack(_symmetrize(H @ pht + r), _mT(pht)))
 
 
-def _fixed_point(kernel, a, b_p, b_r, b_r_inv, x_pred, innovation, iters):
+def _whitened_system(a_w, w_inv):
+    """``S_w = A_w diag(wx) A_w' + diag(wy)`` of each run, with ``w_inv = [wx, wy]``."""
+    runs, m, n = a_w.shape
+    s = (a_w * w_inv[:, None, :n]) @ _mT(a_w)
+    s.reshape(runs, m * m)[:, :: m + 1] += w_inv[:, n:]  # the diagonals, in place
+    return s
+
+
+def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     """Fixed-point solve of the correntropy update of every run of a stack.
 
-    Iterates the whitened prior residual ``u = B_p^-1 (x - x_pred)`` with
-    ``A = H B_p``: the residuals at ``u`` are ``e = [-u ; B_r^-1 (innovation
-    - A u)]``.  With the floored kernel weights ``c = max(G_sigma(e),
-    WEIGHT_FLOOR)`` and ``w_inv = 1 / c``, split into ``(wx, wy)``, the next
-    iterate is ``u = wx A' z``, where ``S z = innovation`` and
-    ``S = A diag(wx) A' + B_r diag(wy) B_r'``.  This is
-    ``x = x_pred + K innovation`` with the reweighted gain ``K`` of
-    `fixed_point_iterate`, without forming ``K``.  Each trip works only on
-    the runs still iterating: a run leaves once its relative step is at most
-    ``epsilon`` or is NaN.
+    Iterates, in whitened measurement coordinates, ``u = B_p^-1 (x -
+    x_pred)`` with ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``:
+    the residuals at ``u`` are ``e = [u ; nu_w - A_w u]`` (the kernel squares
+    them, so the sign of ``u`` is immaterial).  With the floored kernel
+    weights ``c = max(G_sigma(e), WEIGHT_FLOOR)`` and ``w_inv = 1 / c``,
+    split into ``(wx, wy)``, the next iterate is ``u = wx A_w' z``, where
+    ``S_w z = nu_w`` (`_whitened_system`): ``x = x_pred + B_p u`` is the
+    iterate of `fixed_point_iterate`.  Each trip works on the rows of the
+    runs still iterating, compacted with ``take``.  A run leaves when its
+    relative step is at most ``epsilon`` or NaN, or at the cap; only then
+    are its iterate, weights, last relative step and count written.
 
-    ``iters`` gains one per iteration of each run.  Returns the final
-    iterates ``x``, the weights ``c`` and the relative step of each run's
-    last iteration, and the indices of the runs that hit the iteration cap.
+    ``iters`` gains each run's iteration count.  Returns the final iterates
+    ``x``, the weights ``c`` and the relative step of each run's last
+    iteration, and the indices of the runs that hit the cap (not those that
+    converge on the last permitted trip).
     """
     runs, n = x_pred.shape
-    ord_ = 1 if kernel.step_norm == "l1" else 2
-    x = x_pred.copy()
-    weights = np.empty((runs, n + b_r.shape[0]))
-    last_rel = np.empty(runs)
-    active = np.arange(runs)
-    u = np.zeros((runs, n))
-    x_old = x_pred
-    for _ in range(kernel.max_iterations):
-        r = innovation - (a @ u[..., None])[..., 0]
-        e = np.concatenate([-u, (b_r_inv @ r[..., None])[..., 0]], axis=1)
+    l1 = kernel.step_norm == "l1"
+
+    def norm(v):  # np.linalg.norm(v, ord, axis=1) without its overhead
+        return np.add.reduce(np.abs(v), axis=1) if l1 else np.sqrt(np.add.reduce(v * v, axis=1))
+
+    x, weights = np.empty_like(x_pred), np.empty((runs, n + nu_w.shape[1]))
+    last_rel, active = np.empty(runs), np.arange(runs)
+    u, e_y, x_old = np.zeros((runs, n)), nu_w, x_pred
+    for t in range(1, kernel.max_iterations + 1):
+        e = np.concatenate([u, e_y], axis=1)
         c = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
         w_inv = 1.0 / c
-        s = (a * w_inv[:, None, :n]) @ _mT(a) + (b_r * w_inv[:, None, n:]) @ b_r.T
-        z = solve_stack(s, innovation[..., None])
-        u = w_inv[:, :n] * (_mT(a) @ z)[..., 0]
-        x_new = x_pred + (b_p @ u[..., None])[..., 0]
-        num = np.linalg.norm(x_new - x_old, ord=ord_, axis=1)
-        den = np.linalg.norm(x_old, ord=ord_, axis=1)
-        tiny = den < _STEP_NORM_GUARD
-        rel = np.where(tiny, num, num / np.where(tiny, 1.0, den))
-        iters[active] += 1
-        x[active] = x_new
-        weights[active] = c
-        last_rel[active] = rel
+        z = solve_stack(_whitened_system(a_w, w_inv), nu_w[..., None])
+        u = w_inv[:, :n] * (_mT(a_w) @ z)[..., 0]
+        x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
+        den = norm(x_old)
+        rel = norm(x_new - x_old) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
         going = rel > kernel.epsilon
+        if t == kernel.max_iterations or not going.any():
+            break
         if not going.all():
-            active = active[going]
-            if active.size == 0:
-                break
-            a, b_p, x_pred, innovation, u, x_new = (
-                v[going] for v in (a, b_p, x_pred, innovation, u, x_new)
+            out, keep = np.flatnonzero(~going), np.flatnonzero(going)
+            leave = active.take(out)
+            x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
+            last_rel[leave] = rel.take(out)
+            iters[leave] += t
+            active, a_w, b_p, x_pred, nu_w, u, x_new = (
+                v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, u, x_new)
             )
+        e_y = nu_w - (a_w @ u[..., None])[..., 0]
         x_old = x_new
-    return x, weights, last_rel, active
+    x[active], weights[active], last_rel[active] = x_new, c, rel
+    iters[active] += t
+    return x, weights, last_rel, active[going]
 
 
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
-    The KF takes the gain of the prior covariances.  The MCKF runs
-    `_fixed_point` with ``B_p = chol(P_pred)`` and the model's ``B_r`` and
-    ``B_r^-1``, then forms the gain of the reweighted covariances
-    ``(P_w, R_w)`` from each run's last weights, the gain
-    `fixed_point_iterate` returns.  The Joseph update takes that gain, the
-    prior covariance and the nominal ``R``.  Every product is per run
-    (stacked ``@``, or ``einsum`` where ``@`` would be one BLAS product over
-    all runs), so no run's numbers depend on the stack.  The KF's ``P`` may
+    The KF takes the gain of the prior covariances.  The MCKF whitens the
+    measurement once, with ``B_p = chol(P_pred)`` and the model's ``B_r^-1``,
+    runs `_fixed_point` on ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1
+    innovation``, and forms from each run's last weights the gain
+    `fixed_point_iterate` returns, ``K = B_p diag(wx) A_w' S_w^-1 B_r^-1``.
+    The Joseph update takes that gain, the prior covariance and the nominal
+    ``R``.  Every product is per run (stacked ``@`` or ``einsum``, never one
+    BLAS product over all runs), so no run's numbers depend on the stack.
+    The KF's ``P`` may
     be one ``(1, n, n)`` covariance shared by all runs (its recursion reads
     no measurements); stacked ``@`` then broadcasts its one gain over the
     runs' innovations.  Returns ``(x, P, gain, fixed_point)``:
@@ -438,15 +451,13 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
         x = x_pred + (gain @ innovation[..., None])[..., 0]
         fixed_point = None
     else:
-        b_r, b_r_inv = model.B_r, model.B_r_inv
-        b_p = cholesky_stack(_symmetrize(p_pred))
-        x, weights, last_rel, capped = _fixed_point(
-            kernel, H @ b_p, b_p, b_r, b_r_inv, x_pred, innovation, iters
-        )
+        b_r_inv, b_p = model.B_r_inv, cholesky_stack(_symmetrize(p_pred))
+        a_w = (b_r_inv @ H) @ b_p
+        nu_w = np.einsum("ij,rj->ri", b_r_inv, innovation)
+        x, weights, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
         w_inv = 1.0 / weights
-        p_w = (b_p * w_inv[:, None, :n]) @ _mT(b_p)
-        r_w = (b_r * w_inv[:, None, n:]) @ b_r.T
-        gain = _gain(H, p_w, r_w)
+        s_inv_a = solve_stack(_whitened_system(a_w, w_inv), a_w)
+        gain = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a) @ b_r_inv
         fixed_point = weights, last_rel, capped
     ikh = np.eye(n) - gain @ H
     p = _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain))

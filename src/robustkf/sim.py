@@ -20,9 +20,9 @@ seed and draw index only, so a run's data does not depend on how many runs
 are generated with it or on where the chunks fall: `generate_run_data`
 returns exactly the run's row of the whole experiment.  Neither does a
 run's filter output: the batched engine computes every run with per-run
-stacked operations, so the run's estimates and iteration counts are
-bit-identical whatever the number of runs, and whichever other runs are
-still iterating beside it.
+stacked operations, so the run's estimates, iteration counts, cap hits and
+covariances are bit-identical whatever the number of runs, and whichever
+other runs are still iterating beside it.
 
 One loop in `run_monte_carlo` fills the results; an engine is only the
 step it calls, and both give the same numbers.  The ``batched`` step (the

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robustkf import (
     DimensionMismatch,
@@ -33,7 +36,8 @@ from robustkf import (
     weight_matrices,
     zeta,
 )
-from robustkf.mckf import WEIGHT_FLOOR
+from robustkf.mckf import WEIGHT_FLOOR, _filter_step, _filter_update, _gain, _whitened_system
+from robustkf.sim import _joseph
 from conftest import random_model, random_regression, random_spd
 
 
@@ -416,3 +420,79 @@ def test_build_regression_checks_inputs_like_the_steps(mean, y, error):
     belief = GaussianBelief(mean, 0.01 * np.eye(len(mean)))
     with pytest.raises(error):
         build_regression(make_example1(), belief, y)
+
+
+def _reference_trips(model, reg, kernel, iterations):
+    """Relative steps of a reference solve's iterations, and the largest
+    condition number of their ``S = H P_w H' + R_w``."""
+    rels, worst = [], 1.0
+    for k in range(1, iterations + 1):
+        report = fixed_point_iterate(reg, replace(kernel, max_iterations=k))[2]
+        _, p_w, r_w = robust_gain(reg, report.final_weights)
+        rels.append(report.last_relative_step)
+        worst = max(worst, np.linalg.cond(model.H @ p_w @ model.H.T + r_w))
+    return np.array(rels), worst
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    sigma=st.floats(0.1, 1e4),
+    cap=st.integers(1, 5),
+)
+@example(seed=0, dims=(5, 2), sigma=1.0, cap=1)
+def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
+    # The batched update iterates and forms its gain in whitened measurement
+    # coordinates; the one-regression functions work in the original ones.
+    # The two round apart by up to about cond(S) eps, S = H P_w H' + R_w of
+    # the worst iteration: a measurement weight at the floor beside a trusted
+    # one makes cond(S) about 1e10.  Over 12000 random draws the excess over
+    # the fixed tolerances below stayed under 2 cond(S) eps, and iteration
+    # counts differed only where a relative step lay within 0.2 cond(S) eps
+    # of epsilon; the slack is 10 cond(S) eps.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    n, m = dims
+    model = random_model(rng, n, m)
+    H, b_r, b_r_inv = model.H, model.B_r, model.B_r_inv
+    b_p = np.linalg.cholesky(random_spd(rng, n, 0.5))
+    a_w = (b_r_inv @ H) @ b_p
+
+    def reweighted(c):
+        return (b_p / c[:n]) @ b_p.T, (b_r / c[n:]) @ b_r.T
+
+    # Weights across [WEIGHT_FLOOR, 1], about one in thirteen at the floor.
+    c = np.maximum(10.0 ** rng.uniform(-13.0, 0.0, n + m), WEIGHT_FLOOR)
+    p_w, r_w = reweighted(c)
+    want = b_r_inv @ (H @ p_w @ H.T + r_w) @ b_r_inv.T
+    got = _whitened_system(a_w[None], 1.0 / c[None])[0]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
+
+    kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=cap)
+    x_pred = rng.standard_normal(n)
+    y = H @ x_pred + b_r @ rng.standard_normal(m) * 10.0 ** rng.uniform(0.0, 2.0)
+    gain, fixed_point = _filter_update(
+        model, kernel, x_pred[None], (b_p @ b_p.T)[None], y[None], np.zeros(1, np.int32)
+    )[2:]
+    p_w, r_w = reweighted(fixed_point[0][0])
+    want = _gain(H, p_w, r_w)
+    slack = 10.0 * np.linalg.cond(H @ p_w @ H.T + r_w) * eps
+    np.testing.assert_allclose(gain[0], want, rtol=1e-10, atol=slack * np.abs(want).max())
+
+    belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n, 0.5))
+    iters = np.zeros(1, dtype=np.int32)
+    x, p, _, (_, _, capped) = _filter_step(
+        model, kernel, belief.mean[None], belief.cov[None], y[None], iters
+    )
+    prior = kf_predict(model, belief)
+    reg = build_regression(model, prior, y)
+    x_ref, gain_ref, report = fixed_point_iterate(reg, kernel)
+    rels, cond = _reference_trips(model, reg, kernel, report.iterations)
+    slack = 10.0 * cond * eps
+    if np.all(np.abs(rels - kernel.epsilon) > slack):
+        assert (int(iters[0]), capped.size == 0) == (report.iterations, report.converged)
+    scale = max(1.0, np.abs(x_ref).max(), np.abs(y).max())
+    np.testing.assert_allclose(x[0], x_ref, rtol=0.0, atol=1e-9 + slack * scale)
+    p_ref = _joseph(model, prior.cov, gain_ref)
+    np.testing.assert_allclose(p[0], p_ref, rtol=1e-9, atol=(1e-12 + slack) * np.abs(p_ref).max())

@@ -332,6 +332,14 @@ ENGINE_CASES = {
         true_x0=(0.0, 0.0, 1.0),
         runs=20,
     ),
+    # Steps end below the cap, converge on the last permitted trip, or are
+    # capped: 88, 339 and 173 of 600 at seed 11.
+    "cap-on-last-trip": dict(
+        noise_case="impulsive-both",
+        runs=20,
+        steps=30,
+        filters=(FilterSpec("mckf", KernelConfig(sigma=2.0, epsilon=1e-6, max_iterations=3)),),
+    ),
 }
 
 
@@ -353,14 +361,26 @@ class TestBatchedEngine:
         capped = run_monte_carlo(small_config(**ENGINE_CASES["iteration-cap"]))
         assert capped.nonconverged.sum() == 389
 
+    def test_cap_case_reaches_every_exit(self):
+        # A step ends below the cap, converges on the last permitted trip
+        # (not capped), or is capped; the loop writes each run out on exit.
+        result = run_monte_carlo(small_config(**ENGINE_CASES["cap-on-last-trip"]))
+        iterations, capped = result.iterations[0], int(result.nonconverged.sum())
+        assert int(np.sum(iterations < 3)) == 88
+        assert int(np.sum(iterations == 3)) - capped == 339
+        assert capped == 173
+
     @pytest.mark.parametrize("case", ENGINE_CASES)
     @pytest.mark.parametrize("width", [1, 3])
     def test_run_output_does_not_depend_on_batch(self, case, width):
+        # The MCKF's covariances flow from its final gain, formed per run.
         config = small_config(**ENGINE_CASES[case])
-        wide = run_monte_carlo(config)
-        narrow = run_monte_carlo(replace(config, runs=width))
-        np.testing.assert_array_equal(narrow.errors, wide.errors[:, :width])
-        np.testing.assert_array_equal(narrow.iterations, wide.iterations[:, :width])
+        wide = run_monte_carlo(config, collect_covariances=True)
+        narrow = run_monte_carlo(replace(config, runs=width), collect_covariances=True)
+        for field in ("errors", "iterations", "nonconverged", "covariances"):
+            np.testing.assert_array_equal(
+                getattr(narrow, field), getattr(wide, field)[:, :width], err_msg=field
+            )
 
     @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_mckf_step_is_the_engine_step(self, case):
