@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,9 +294,7 @@ def _cmd_diagnose(ns) -> int:
     snapshot_step = ns.snapshot_step
     if snapshot_step < 1:
         raise ConfigParseError("--snapshot-step must be >= 1")
-    probe = ExperimentConfig.from_dict(
-        {**config.to_dict(), "runs": 1, "steps": snapshot_step, "filters": [{"kind": "kf"}]}
-    )
+    probe = replace(config, runs=1, steps=snapshot_step, filters=(FilterSpec("kf"),))
     data = generate_run_data(probe, 0)
     fmodel = probe.filter_model()
     belief = GaussianBelief(data.x0_hat, probe.p0_scale * np.eye(fmodel.n))

@@ -22,7 +22,8 @@ from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmet
 #: Relative tolerance for symmetry checks.
 SYMMETRY_RTOL = 1e-10
 
-#: Relative diagonal jitter used to absorb round-off indefiniteness.
+#: Diagonal jitter used to absorb round-off indefiniteness, scaled by
+#: ``max(1, max|a|)``: relative above unit scale, absolute below it.
 CHOLESKY_JITTER = 1e-12
 
 

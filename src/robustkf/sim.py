@@ -33,9 +33,10 @@ Its KF carries one covariance for all runs: ``P`` and the gain follow the
 Riccati recursion, which reads no measurements, from the same ``p0`` in
 every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
 The independent ``reference`` step advances one run at a time through
-`kf_predict`, `build_regression`, `fixed_point_iterate` (the KF:
-`robust_gain` at unit weights) and a Joseph update of its own.  The loop
-marks a run whose numbers overflow failed; it does not stop the experiment.
+`kf_predict`, a gain (the KF's textbook ``P H' (H P H' + R)^-1``, the
+MCKF's from `fixed_point_iterate` on `build_regression`) and a Joseph
+update of its own.  The loop marks a run whose numbers overflow failed; it
+does not stop the experiment.
 """
 
 from __future__ import annotations
@@ -48,14 +49,7 @@ import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, InvalidBandwidth, RobustKFError
 from .kf import kf_predict
-from .mckf import (
-    KernelConfig,
-    WeightMatrices,
-    _filter_step,
-    build_regression,
-    fixed_point_iterate,
-    robust_gain,
-)
+from .mckf import KernelConfig, _filter_step, build_regression, fixed_point_iterate
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -63,6 +57,7 @@ from .model import (
     mixture_moments,
     sample_mixture_sequence,
 )
+from .numerics import solve_spd
 from .rng import RandomStream, substream_seed
 
 NOISE_CASES = ("gaussian", "impulsive-measurement", "impulsive-both", "none")
@@ -389,27 +384,29 @@ def _joseph(model, p, gain):
 def _reference_step(model, kernel, x, p, y, iters):
     """One step of every run, a run at a time; ``kernel is None`` is the KF.
 
-    Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``,
-    `build_regression`, the KF's gain (`robust_gain` at unit weights) or the
-    MCKF's `fixed_point_iterate`, and `_joseph`.  A run that raises a
-    `RobustKFError` (a failed run's NaN estimate does) is NaN after the
-    step, so it stays failed.  ``capped`` lists the runs that hit the cap.
+    Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``, a
+    gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph`.
+    The KF's gain is the textbook ``P H' (H P H' + R)^-1`` of the predicted
+    covariance; the MCKF's is the final gain of `fixed_point_iterate` on
+    `build_regression`.  A run that raises a `RobustKFError` (a failed run's
+    NaN estimate does) is NaN after the step, so it stays failed.
+    ``capped`` lists the runs that hit the cap.
     """
     x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
     capped = []
-    unit = WeightMatrices(cx=np.ones(model.n), cy=np.ones(model.m))
     for run in range(x.shape[0]):
         try:
             prior = kf_predict(model, GaussianBelief(x[run], p[run]))
-            reg = build_regression(model, prior, y[run])
             if kernel is None:
-                gain = robust_gain(reg, unit)[0]
-                x_new[run] = prior.mean + gain @ (reg.y - model.H @ prior.mean)
+                hp = model.H @ prior.cov
+                gain = solve_spd(hp @ model.H.T + model.R, hp).T
             else:
-                x_new[run], gain, report = fixed_point_iterate(reg, kernel)
+                reg = build_regression(model, prior, y[run])
+                _, gain, report = fixed_point_iterate(reg, kernel)
                 iters[run] = report.iterations
                 if not report.converged:
                     capped.append(run)
+            x_new[run] = prior.mean + gain @ (y[run] - model.H @ prior.mean)
             p_new[run] = _joseph(model, prior.cov, gain)
         except RobustKFError:
             x_new[run] = np.nan

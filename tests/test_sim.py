@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import robustkf.mckf
 import robustkf.sim
@@ -30,6 +32,8 @@ from robustkf import (
 )
 from robustkf.mckf import gaussian_kernel
 from robustkf.sim import _generate
+
+from conftest import random_model
 
 
 _MASK64 = 2**64 - 1
@@ -170,7 +174,7 @@ class TestRunMonteCarlo:
         config = small_config()
         fast = run_monte_carlo(config, engine="batched")
         slow = run_monte_carlo(config, engine="reference")
-        np.testing.assert_allclose(fast.errors, slow.errors, atol=1e-9)
+        np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
         np.testing.assert_array_equal(fast.iterations, slow.iterations)
         np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
         np.testing.assert_allclose(fast.mse, slow.mse, rtol=1e-9, atol=1e-12)
@@ -340,6 +344,19 @@ ENGINE_CASES = {
         steps=30,
         filters=(FilterSpec("mckf", KernelConfig(sigma=2.0, epsilon=1e-6, max_iterations=3)),),
     ),
+    # A singular prior: Q = 0 and P0 = 0 keep the KF's P at zero, so its
+    # gain is exactly zero; a jittered Cholesky of P would make it nonzero.
+    "zero-prior-covariance": dict(
+        example="custom",
+        custom_model=StateSpaceModel(
+            F=make_example2().F, H=[[0.0, 1.0, 0.0]], Q=np.zeros((3, 3)), R=[[0.01]]
+        ),
+        true_x0=(0.0, 0.0, 1.0),
+        noise_case="gaussian",
+        assumed_q=np.zeros((3, 3)),
+        p0_scale=0.0,
+        steps=100,
+    ),
 }
 
 
@@ -349,7 +366,7 @@ class TestBatchedEngine:
         config = small_config(**ENGINE_CASES[case])
         fast = run_monte_carlo(config, engine="batched", collect_covariances=True)
         slow = run_monte_carlo(config, engine="reference", collect_covariances=True)
-        np.testing.assert_allclose(fast.errors, slow.errors, atol=1e-9)
+        np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
         np.testing.assert_array_equal(fast.iterations, slow.iterations)
         np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
         np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
@@ -447,6 +464,36 @@ class TestBatchedEngine:
         monkeypatch.setattr(robustkf.mckf, "gaussian_kernel", counting_kernel)
         result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
         assert sum(rows) == result.iterations[1].sum()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    zero_q=st.sampled_from((False, True, False)),
+    p0_scale=st.sampled_from((0.0, 0.01)),
+)
+@example(seed=81, dims=(5, 1), zero_q=True, p0_scale=0.0)
+def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
+    # With Q = 0 and P0 = 0 the predicted covariance is singular, so only a
+    # gain formed without factorizing P keeps the engines together.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, *dims)
+    config = ExperimentConfig(
+        example="custom",
+        custom_model=model,
+        true_x0=tuple(rng.standard_normal(model.n)),
+        runs=3,
+        steps=20,
+        filters=(FilterSpec("kf"),),
+        p0_scale=p0_scale,
+        assumed_q=np.zeros((model.n, model.n)) if zero_q else model.Q,
+        assumed_r=model.R,
+    )
+    fast = run_monte_carlo(config, engine="batched")
+    slow = run_monte_carlo(config, engine="reference")
+    np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
+    np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
 
 
 class TestErrorDensity:
