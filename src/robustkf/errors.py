@@ -14,7 +14,7 @@ class NotSymmetric(RobustKFError):
 
 
 class NotPositiveDefinite(RobustKFError):
-    """A matrix required to be positive definite is singular or indefinite."""
+    """A matrix is indefinite beyond round-off, or singular where it must be definite."""
 
 
 class NotPSD(RobustKFError):

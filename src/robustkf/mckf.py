@@ -49,7 +49,7 @@ from .errors import (
     SingularDesign,
 )
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_lower, cholesky_stack, require_finite, solve_spd, solve_stack
+from .numerics import cholesky_stack, require_finite, solve_spd, solve_stack
 
 #: Lower clamp on kernel weights before inverting the weight matrices.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
@@ -95,7 +95,8 @@ class AugmentedRegression:
     and the last m rows whiten the actual measurement: ``W`` stacks
     ``B_p^-1`` over ``B_r^-1 H`` and ``D`` stacks ``B_p^-1 x_prior`` over
     ``B_r^-1 y``.  ``B_p`` and ``B_r`` are the lower Cholesky factors of the
-    prior covariance and the measurement covariance.
+    prior covariance and the measurement covariance.  For a singular prior,
+    ``W``'s top block inverts ``B_p`` on its nonzero columns and is zero elsewhere.
     """
 
     D: np.ndarray
@@ -167,16 +168,17 @@ def build_regression(
 ) -> AugmentedRegression:
     """Whiten the stacked prior/measurement model for one step.
 
-    Factorizes ``prior.cov = B_p B_p'``, takes ``R = B_r B_r'`` from the
-    model, whose ``R`` was checked and factored when it was built, and forms
-    D and W by solving with those factors (never explicit inverses).
+    Factorizes ``prior.cov = B_p B_p'`` (`cholesky_stack`), takes ``R = B_r B_r'``
+    from the model, whose ``R`` was checked and factored when it was built, and
+    forms D and W by solving with those factors, ``B_p`` on its nonzero columns.
     """
     y = _checked_measurement(model, prior, y, "build_regression")[0]
-    b_p = cholesky_lower(prior.cov)
-    b_r = model.B_r
-    w_top = np.linalg.solve(b_p, np.eye(model.n))
+    b_p, b_r = cholesky_stack(prior.cov), model.B_r
+    keep = np.flatnonzero(b_p.diagonal())
+    block, w_top, d_top = np.ix_(keep, keep), np.zeros((model.n, model.n)), np.zeros(model.n)
+    w_top[block] = np.linalg.solve(b_p[block], np.eye(keep.size))
+    d_top[keep] = np.linalg.solve(b_p[block], prior.mean[keep])
     w_bot = np.linalg.solve(b_r, model.H)
-    d_top = np.linalg.solve(b_p, prior.mean)
     d_bot = np.linalg.solve(b_r, y)
     return AugmentedRegression(
         D=np.concatenate([d_top, d_bot]),
@@ -499,7 +501,7 @@ def mckf_step(
 
     The inputs are checked once: the belief's dimension and a finite
     measurement of length m.  ``R`` was checked and factored when the model
-    was built.  A predicted covariance that does not factorize raises
+    was built.  A predicted covariance indefinite beyond round-off raises
     `NotPositiveDefinite`; the posterior must be finite and PSD.
     """
     y = _checked_measurement(model, posterior_prev, y, "mckf_step")

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
-from .numerics import cholesky_lower, require_finite, require_symmetric, solve_stack
+from .numerics import PSD_RTOL, cholesky_lower, require_finite, require_symmetric, solve_stack
 from .rng import RandomStream
-
-#: Relative tolerance on the PSD check for covariance matrices.
-PSD_RTOL = 1e-10
 
 
 def _require_psd(cov: np.ndarray, name: str) -> None:
@@ -49,7 +46,7 @@ class StateSpaceModel:
     NotSymmetric
         Q or R not symmetric within tolerance.
     NotPositiveDefinite
-        R singular or indefinite (measurement noise must be invertible).
+        R singular or indefinite: its factor (`cholesky_lower`) fails.
     NotPSD
         Q has an eigenvalue below ``-PSD_RTOL * max|Q|``.
     """
@@ -80,10 +77,11 @@ class StateSpaceModel:
         if R.shape != (m, m):
             raise DimensionMismatch(f"R must be {m} x {m}, got {R.shape}")
         Q = require_symmetric(Q, "StateSpaceModel.Q")
-        if np.linalg.eigvalsh(require_symmetric(R, "StateSpaceModel.R"))[0] <= 0.0:
-            raise NotPositiveDefinite("R must be positive definite")
+        try:
+            b_r = cholesky_lower(require_symmetric(R, "StateSpaceModel.R"))
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
-        b_r = cholesky_lower(R)
         for name, arr in (("B_r", b_r), ("B_r_inv", solve_stack(b_r, np.eye(m)))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

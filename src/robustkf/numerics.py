@@ -5,9 +5,9 @@ row-major ``numpy`` arrays, so the routines here favour robustness and
 clear error reporting over asymptotic cleverness.  All operations are pure:
 inputs are never modified and results are freshly allocated.
 
-Covariance recursions are symmetric analytically but not numerically, so
-every operation that requires a symmetric input first checks symmetry
-against a relative tolerance and then works on ``(A + A.T) / 2``.
+Covariance recursions are symmetric and semidefinite only up to round-off: a
+symmetric input is checked against `SYMMETRY_RTOL` and used as ``(A + A.T) / 2``,
+and `PSD_RTOL` alone says what is semidefinite.  No matrix is perturbed.
 
 NumPy is the only numerical dependency: factorizations and solves here and
 throughout the package are ``numpy.linalg`` calls.
@@ -22,9 +22,9 @@ from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmet
 #: Relative tolerance for symmetry checks.
 SYMMETRY_RTOL = 1e-10
 
-#: Diagonal jitter used to absorb round-off indefiniteness, scaled by
-#: ``max(1, max|a|)``: relative above unit scale, absolute below it.
-CHOLESKY_JITTER = 1e-12
+#: Relative round-off tolerance of semidefiniteness: an eigenvalue (`GaussianBelief`)
+#: or a Cholesky pivot (`cholesky_stack`) within ``PSD_RTOL * max|a|`` of zero is zero.
+PSD_RTOL = 1e-10
 
 
 def require_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -57,28 +57,26 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     a : ndarray, shape (..., n, n)
-        Symmetric positive definite matrices.  They are neither checked nor
-        symmetrized here: callers validate (`cholesky_lower`) or symmetrize
-        (the filters' stacked step) first.
+        Symmetric PSD matrices, neither checked nor symmetrized here: callers
+        validate (`cholesky_lower`) or symmetrize (the filters, `GaussianBelief`) first.
 
     Returns
     -------
     ndarray, shape (..., n, n)
-        Lower-triangular factors ``L`` with ``L @ L.T == a``.
+        Lower-triangular factors ``L`` with ``L @ L.T == a`` up to rounding.  A
+        pivot within ``PSD_RTOL * max|a_i|`` of zero gives a zero column; the
+        entries below it, at most about ``sqrt(PSD_RTOL) * max|a_i|``, are dropped.
 
     Raises
     ------
     NotPositiveDefinite
-        If a non-positive pivot persists after one jittered retry.
+        If a pivot is below ``-PSD_RTOL * max|a_i|``: indefinite beyond round-off.
 
     Notes
     -----
-    Covariance round-off can make a PSD matrix indefinite by a few ulps, so
-    when the stack fails to factorize, each matrix is factorized alone and
-    only a matrix ``a_i`` that fails is retried once with ``delta_i * I``
-    added, where ``delta_i = CHOLESKY_JITTER * max(1, max|a_i|)``.  Every
-    factor is therefore the factor of its own matrix, whatever it is
-    stacked with.
+    A failing stack is factorized a matrix at a time, so no factor depends on
+    its stack.  Only a matrix that fails alone (a zero or slightly negative
+    pivot) takes the outer-product loop; the others keep LAPACK's factor.
     """
     try:
         return np.linalg.cholesky(a)
@@ -91,13 +89,13 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
         try:
             lower[i] = np.linalg.cholesky(a_i)
         except np.linalg.LinAlgError:
-            delta = CHOLESKY_JITTER * max(1.0, float(np.max(np.abs(a_i))))
-            try:
-                lower[i] = np.linalg.cholesky(a_i + delta * np.eye(n))
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    "cholesky: non-positive pivot persists after jitter"
-                ) from None
+            tol, rest, lower[i] = PSD_RTOL * float(np.max(np.abs(a_i))), a_i.copy(), 0.0
+            for j in range(n):
+                if rest[j, j] > tol:
+                    col = lower[i, j:, j] = rest[j:, j] / np.sqrt(rest[j, j])
+                    rest[j:, j:] -= np.outer(col, col)
+                elif not rest[j, j] >= -tol:  # NaN included
+                    raise NotPositiveDefinite("cholesky: negative pivot beyond round-off")
     return lower.reshape(a.shape)
 
 
@@ -109,20 +107,22 @@ def solve_stack(s: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor ``L`` with ``L @ L.T == a``.
+    """Lower-triangular Cholesky factor ``L`` of a positive definite ``a``.
 
     Checks symmetry up to `SYMMETRY_RTOL` (`require_symmetric`), then
-    factorizes the symmetrized matrix with `cholesky_stack`, including its
-    jittered retry.
+    factorizes the symmetrized matrix with `cholesky_stack`.
 
     Raises
     ------
     NotSymmetric
         If the input fails the symmetry check.
     NotPositiveDefinite
-        If a non-positive pivot persists after one jittered retry.
+        If ``a`` is singular (a pivot is zero up to `PSD_RTOL`) or indefinite.
     """
-    return cholesky_stack(require_symmetric(a, "cholesky_lower"))
+    lower = cholesky_stack(require_symmetric(a, "cholesky_lower"))
+    if not lower.diagonal().all():
+        raise NotPositiveDefinite("cholesky_lower: zero pivot, the matrix is singular")
+    return lower
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,6 +131,11 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Factorizes once with `cholesky_lower` and solves with ``L`` and then
     ``L'``, never forming an explicit inverse.  ``b`` may be a vector or a
     matrix of right-hand sides; the result has the same shape as ``b``.
+
+    Raises
+    ------
+    NotSymmetric, NotPositiveDefinite
+        As `cholesky_lower`: ``a`` is asymmetric, singular or indefinite.
     """
     b = require_finite(b, "solve_spd rhs")
     lower = cholesky_lower(a)

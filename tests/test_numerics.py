@@ -37,23 +37,35 @@ class TestCholeskyLower:
             lower = cholesky_lower(a)
             assert max_abs(lower @ lower.T - a) <= 1e-10 * (1.0 + max_abs(a))
 
-    def test_jitter_rescues_singular(self):
+    def test_singular_stack_factor_has_zero_columns(self, rng):
         v = np.array([1.0, 2.0])
-        lower = cholesky_lower(np.outer(v, v))  # rank one, zero pivot
-        assert np.all(np.isfinite(lower))
+        lower = cholesky_stack(np.outer(v, v))  # rank one, zero second pivot
+        np.testing.assert_array_equal(lower, [[1.0, 0.0], [2.0, 0.0]])
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            b = rng.standard_normal((n, int(rng.integers(0, n))))
+            a = b @ b.T
+            lower = cholesky_stack(a)
+            assert np.array_equal(np.tril(lower), lower)
+            assert max_abs(lower @ lower.T - a) <= 1e-10 * (1.0 + max_abs(a))
+
+    def test_round_off_pivot_gives_zero_column(self):
+        # The tolerance is relative to each matrix: -5e-16 is round-off beside
+        # 1, and -1e-5 beside 1e6, but not beside 1.
+        np.testing.assert_array_equal(cholesky_stack(np.diag([1.0, -5e-16])), np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(cholesky_stack(np.diag([1e6, -1e-5])), np.diag([1e3, 0.0]))
+        for a in (np.diag([1.0, -1e-5]), np.diag([1.0, -1.0])):
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_stack(a)
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_lower(np.diag([1.0, -1.0]))
+        # A singular matrix has no positive definite factor, whatever
+        # cholesky_stack returns for it.
+        for a in (np.diag([1.0, -1.0]), np.outer([1.0, 2.0], [1.0, 2.0]), np.zeros((2, 2))):
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_lower(a)
 
-    def test_stack_jitter_is_scaled_per_matrix(self):
-        v = np.array([1e3, 2e3])
-        singular = np.outer(v, v)
-        lower = cholesky_stack(np.stack([singular, np.eye(2)]))
-        np.testing.assert_array_equal(lower[0], cholesky_lower(singular))
-        np.testing.assert_array_equal(lower[1], np.linalg.cholesky(np.eye(2)))
-
-    def test_stack_jitters_only_the_failing_matrix(self):
+    def test_failing_stack_keeps_lapack_factors(self):
         # Indefinite by round-off: the smallest eigenvalue is -5e-16.
         spd = np.array([[2.0, 1.0], [1.0, 2.0]])
         indefinite = np.diag([1.0, -5e-16])
@@ -88,8 +100,9 @@ class TestSolveSpd:
             assert max_abs(a @ solve_spd(a, np.eye(n)) - np.eye(n)) <= 1e-8
 
     def test_propagates_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_spd(np.diag([1.0, -2.0]), np.ones(2))
+        for a in (np.diag([1.0, -2.0]), np.outer([1.0, 2.0], [1.0, 2.0])):
+            with pytest.raises(NotPositiveDefinite):
+                solve_spd(a, np.ones(2))
 
 
 class TestMinEigenvalue:

@@ -345,7 +345,7 @@ ENGINE_CASES = {
         filters=(FilterSpec("mckf", KernelConfig(sigma=2.0, epsilon=1e-6, max_iterations=3)),),
     ),
     # A singular prior: Q = 0 and P0 = 0 keep the KF's P at zero, so its
-    # gain is exactly zero; a jittered Cholesky of P would make it nonzero.
+    # gain is exactly zero; a perturbed Cholesky factor of P would not be.
     "zero-prior-covariance": dict(
         example="custom",
         custom_model=StateSpaceModel(
@@ -356,6 +356,18 @@ ENGINE_CASES = {
         assumed_q=np.zeros((3, 3)),
         p0_scale=0.0,
         steps=100,
+    ),
+    # A partly singular prior: P0 = 0 and Q = diag(0, 0, 0.01) give predicted
+    # covariances of rank 1 and 2 on the first two steps, whose factors have
+    # zero columns beside nonzero ones.
+    "rank-deficient-prior": dict(
+        example="custom",
+        custom_model=StateSpaceModel(
+            F=make_example2().F, H=[[0.0, 1.0, 0.0]], Q=np.diag([0.0, 0.0, 0.01]), R=[[0.01]]
+        ),
+        true_x0=(0.0, 0.0, 1.0),
+        assumed_q=np.diag([0.0, 0.0, 0.01]),
+        p0_scale=0.0,
     ),
 }
 
@@ -371,6 +383,15 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
         np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
         np.testing.assert_allclose(fast.covariances, slow.covariances, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_huge_bandwidth_mckf_is_the_kf_on_a_singular_prior(self, engine):
+        # P stays zero, so the KF's gain is zero; the MCKF factors P exactly,
+        # with zero columns, so its gain is zero as well.
+        filters = (FilterSpec("kf"), FilterSpec("mckf", KernelConfig(sigma=1e8, epsilon=1e-6)))
+        config = small_config(**{**ENGINE_CASES["zero-prior-covariance"], "steps": 300})
+        kf, mckf = run_monte_carlo(replace(config, filters=filters), engine=engine).errors
+        assert np.max(np.abs(mckf - kf)) <= 1e-12
 
     def test_cases_reach_their_branches(self):
         spread = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"])).iterations[1]
@@ -476,7 +497,8 @@ class TestBatchedEngine:
 @example(seed=81, dims=(5, 1), zero_q=True, p0_scale=0.0)
 def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
     # With Q = 0 and P0 = 0 the predicted covariance is singular, so only a
-    # gain formed without factorizing P keeps the engines together.
+    # gain formed without factorizing P keeps the engines together, and only
+    # an exact factor of P keeps a huge-bandwidth MCKF on the KF.
     rng = np.random.default_rng(seed)
     model = random_model(rng, *dims)
     config = ExperimentConfig(
@@ -485,7 +507,7 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
         true_x0=tuple(rng.standard_normal(model.n)),
         runs=3,
         steps=20,
-        filters=(FilterSpec("kf"),),
+        filters=(FilterSpec("kf"), FilterSpec("mckf", KernelConfig(sigma=1e8, epsilon=1e-6))),
         p0_scale=p0_scale,
         assumed_q=np.zeros((model.n, model.n)) if zero_q else model.Q,
         assumed_r=model.R,
@@ -494,6 +516,8 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
     slow = run_monte_carlo(config, engine="reference")
     np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
     np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
+    for kf, mckf in (fast.errors, slow.errors):
+        assert np.max(np.abs(mckf - kf)) <= 1e-11 * (1.0 + np.max(np.abs(kf)))
 
 
 class TestErrorDensity:
