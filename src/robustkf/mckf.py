@@ -65,15 +65,14 @@ class KernelConfig:
     """Kernel bandwidth and fixed-point stop rule.
 
     ``sigma`` is the Gaussian kernel bandwidth (same units as the whitened
-    residuals), ``epsilon`` the relative-step stop threshold, and
-    ``max_iterations`` a safety cap; hitting the cap is reported, not raised.
-    ``step_norm`` selects the vector norm of the stop rule ("l2" or "l1").
+    residuals), ``epsilon`` the stop threshold on the relative step
+    ``||x_new - x_old||_2 / ||x_old||_2``, and ``max_iterations`` a safety
+    cap; hitting the cap is reported, not raised.
     """
 
     sigma: float
     epsilon: float
     max_iterations: int = 100
-    step_norm: str = "l2"
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -83,8 +82,6 @@ class KernelConfig:
         cap = self.max_iterations
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
-        if self.step_norm not in ("l2", "l1"):
-            raise ValueError("step_norm must be 'l2' or 'l1'")
 
 
 @dataclass(frozen=True)
@@ -279,10 +276,9 @@ def fixed_point_map(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np
     return weighted_qr_map(reg, x, sigma)[0]
 
 
-def _relative_step(x_new: np.ndarray, x_old: np.ndarray, norm: str) -> float:
-    ord_ = 1 if norm == "l1" else 2
-    num = float(np.linalg.norm(x_new - x_old, ord_))
-    den = float(np.linalg.norm(x_old, ord_))
+def _relative_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
+    num = float(np.linalg.norm(x_new - x_old))
+    den = float(np.linalg.norm(x_old))
     return num if den < _STEP_NORM_GUARD else num / den
 
 
@@ -316,32 +312,26 @@ def fixed_point_iterate(
         x = reg.prior_mean + gain @ innovation
         if not np.all(np.isfinite(x)):
             raise Diverged(f"fixed-point iterate {t} is not finite")
-        rel = _relative_step(x, x_prev, config.step_norm)
+        rel = _relative_step(x, x_prev)
         if rel <= config.epsilon:
             return x, gain, FixedPointReport(t, True, wts, rel)
         x_prev = x
     return x, gain, FixedPointReport(config.max_iterations, False, wts, rel)
 
 
-def fixed_point_direct(
-    reg: AugmentedRegression,
-    config: KernelConfig,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+def fixed_point_direct(reg: AugmentedRegression, config: KernelConfig) -> np.ndarray:
     """Solve the correntropy update in weighted-least-squares form.
 
-    Same start point and stop rule as `fixed_point_iterate`; the two forms
-    agree iterate by iterate and serve as cross-checks of each other.
-    ``start`` overrides the initial iterate, which is useful for probing
-    convergence from other points of the state space.
+    Starts from the prior mean and stops by the rule of `fixed_point_iterate`;
+    the two forms agree iterate by iterate and serve as cross-checks of each
+    other.
     """
-    x_prev = reg.prior_mean if start is None else np.asarray(start, dtype=float)
-    x = x_prev
+    x_prev = x = reg.prior_mean
     for _ in range(config.max_iterations):
         x = fixed_point_map(reg, x_prev, config.sigma)
         if not np.all(np.isfinite(x)):
             raise Diverged("fixed-point iterate is not finite")
-        if _relative_step(x, x_prev, config.step_norm) <= config.epsilon:
+        if _relative_step(x, x_prev) <= config.epsilon:
             return x
         x_prev = x
     return x
@@ -391,10 +381,9 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     converge on the last permitted trip).
     """
     runs, n = x_pred.shape
-    l1 = kernel.step_norm == "l1"
 
-    def norm(v):  # np.linalg.norm(v, ord, axis=1) without its overhead
-        return np.add.reduce(np.abs(v), axis=1) if l1 else np.sqrt(np.add.reduce(v * v, axis=1))
+    def norm(v):  # np.linalg.norm(v, axis=1), the 2-norm of each row, without its overhead
+        return np.sqrt(np.add.reduce(v * v, axis=1))
 
     x, weights = np.empty_like(x_pred), np.empty((runs, n + nu_w.shape[1]))
     last_rel, active = np.empty(runs), np.arange(runs)

@@ -5,8 +5,11 @@ import pytest
 
 from robustkf import (
     ExperimentConfig,
+    FilterSpec,
     GaussianBelief,
+    KernelConfig,
     NonFinite,
+    StateSpaceModel,
     build_regression,
     generate_run_data,
     kf_predict,
@@ -14,7 +17,7 @@ from robustkf import (
     sufficient_sigma,
     zeta,
 )
-from robustkf.cli import _write_table, run_cli
+from robustkf.cli import _config_hash, _write_table, run_cli
 
 
 def bench_args(out, extra=()):
@@ -113,6 +116,12 @@ def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
         {"filters": [{"kind": "kf", "sigma": 2}]},
         {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": 1e-6, "max_iterations": 2.5}]},
         {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": 1e-6, "sigmaa": 3}]},
+        {"theta": 0.1},
+        {"dt": 0.2},
+        {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": 1e-6, "step_norm": "l1"}]},
+        {"noise_case": "bogus"},
+        {"filters": [{"kind": "ukf"}]},
+        {"filters": [{"kind": "mckf", "sigma": 0, "epsilon": 1e-6}]},
     ],
 )
 def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):
@@ -121,6 +130,33 @@ def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):
     assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(),
+        ExperimentConfig(
+            example="custom",
+            noise_case="impulsive-measurement",
+            custom_model=StateSpaceModel(
+                F=[[1.0, 0.1], [0.0, 0.9]], H=[[1.0, 0.0]], Q=[[0.1, 0.03], [0.03, 0.2]], R=[[0.3]]
+            ),
+            true_x0=(0.1, -1.0 / 3.0),
+            assumed_q=[[0.7, 0.1], [0.1, 0.3]],
+            filters=(FilterSpec("kf"), FilterSpec("mckf", KernelConfig(0.7, 1e-5, 7))),
+        ),
+    ],
+    ids=["default", "custom"],
+)
+def test_config_round_trips_through_json(config):
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert _config_hash(back) == _config_hash(config)
+    assert back.filters == config.filters
+    for name in "FHQR":
+        np.testing.assert_array_equal(
+            getattr(back.filter_model(), name), getattr(config.filter_model(), name)
+        )
 
 
 def test_too_few_bins_is_config_error_before_the_experiment(tmp_path, monkeypatch, capsys):
@@ -214,6 +250,28 @@ class TestBench:
 
     def test_invalid_sigma_list(self, tmp_path):
         assert run_cli(["bench", "--sigma", "-1", "--out", str(tmp_path)]) == 1
+        assert run_cli(["bench", "--epsilon", "0", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, env, file_seed, expected",
+        [
+            ("7", "123", 99, 7),
+            (None, "123", 99, 123),
+            (None, None, 99, 99),
+            (None, None, None, 20160301),
+        ],
+        ids=["flag", "environment", "file", "default"],
+    )
+    def test_seed_order(self, tmp_path, monkeypatch, flag, env, file_seed, expected):
+        monkeypatch.delenv("ROBUSTKF_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("ROBUSTKF_SEED", env)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({} if file_seed is None else {"master_seed": file_seed}))
+        args = [a for a in bench_args(tmp_path) if a not in ("--seed", "7")]
+        args += ["--config", str(path)] + (["--seed", flag] if flag else [])
+        assert run_cli(args) == 0
+        assert f"seed={expected} " in (tmp_path / "mse.csv").read_text().splitlines()[0]
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1

@@ -317,13 +317,6 @@ ENGINE_CASES = {
         runs=10,
         filters=(FilterSpec("mckf", KernelConfig(sigma=0.5, epsilon=1e-12, max_iterations=2)),),
     ),
-    "l1-step-norm": dict(
-        runs=20,
-        filters=(
-            FilterSpec("kf"),
-            FilterSpec("mckf", KernelConfig(sigma=2.0, epsilon=1e-6, step_norm="l1")),
-        ),
-    ),
     # m = 2: the innovation systems are solved, not divided.
     "two-measurements": dict(
         example="custom",
