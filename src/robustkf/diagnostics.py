@@ -50,7 +50,7 @@ _DECADES = math.log10(SIGMA_SEARCH_RANGE[1] / SIGMA_SEARCH_RANGE[0])
 _SIGMA_GRID = np.geomspace(*SIGMA_SEARCH_RANGE, int(_DECADES * GRID_POINTS_PER_DECADE) + 1)
 #: Every ``_COARSE_STRIDE``-th grid point and the last one form the coarse scan.
 _COARSE_STRIDE = 25
-_COARSE = np.unique(np.r_[0 : _SIGMA_GRID.size : _COARSE_STRIDE, _SIGMA_GRID.size - 1])
+_COARSE = np.r_[0 : _SIGMA_GRID.size - 1 : _COARSE_STRIDE, _SIGMA_GRID.size - 1]
 #: ``beta`` must exceed ``zeta * (1 + _BETA_EXCESS)``; below it ``phi``'s rounding
 #: (up to about 150 eps on random snapshots) decides where it meets ``beta``.
 _BETA_EXCESS = 4096 * np.finfo(float).eps

@@ -25,8 +25,9 @@ solve is a ``numpy.linalg`` call.
 
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
-runs at once.  It iterates in whitened measurement coordinates and forms
-its final gain from the same innovation matrices (`_whitened_system`).
+runs at once.  It iterates in whitened measurement coordinates, forms its
+final gain from the same innovation matrices (`_whitened_system`), and
+writes that gain's Joseph covariance as an exactly symmetric Gram product.
 The one-regression functions here (`build_regression`,
 `fixed_point_iterate`, ...) are the reference engine's independent
 implementation, and the direct form a cross-check of both.  With all kernel
@@ -370,10 +371,11 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     weights ``c = max(G_sigma(e), WEIGHT_FLOOR)`` and ``w_inv = 1 / c``,
     split into ``(wx, wy)``, the next iterate is ``u = wx A_w' z``, where
     ``S_w z = nu_w`` (`_whitened_system`): ``x = x_pred + B_p u`` is the
-    iterate of `fixed_point_iterate`.  Each trip works on the rows of the
-    runs still iterating, compacted with ``take``.  A run leaves when its
-    relative step is at most ``epsilon`` or NaN, or at the cap; only then
-    are its iterate, weights, last relative step and count written.
+    iterate of `fixed_point_iterate`, and ``nu_w - A_w u = diag(wy) z``
+    comes from the same solve.  Each trip works on the rows of the runs still
+    iterating, compacted with ``take``.  A run leaves when its relative step
+    is at most ``epsilon`` or NaN, or at the cap; only then are its iterate,
+    weights, last relative step and count written.
 
     ``iters`` gains each run's iteration count.  Returns the final iterates
     ``x``, the weights ``c`` and the relative step of each run's last
@@ -382,8 +384,8 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     """
     runs, n = x_pred.shape
 
-    def norm(v):  # np.linalg.norm(v, axis=1), the 2-norm of each row, without its overhead
-        return np.sqrt(np.add.reduce(v * v, axis=1))
+    def norm(v):  # the 2-norm of each row
+        return np.sqrt(np.einsum("ri,ri->r", v, v))
 
     x, weights = np.empty_like(x_pred), np.empty((runs, n + nu_w.shape[1]))
     last_rel, active = np.empty(runs), np.arange(runs)
@@ -392,8 +394,9 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
         e = np.concatenate([u, e_y], axis=1)
         c = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
         w_inv = 1.0 / c
-        z = solve_stack(_whitened_system(a_w, w_inv), nu_w[..., None])
-        u = w_inv[:, :n] * (_mT(a_w) @ z)[..., 0]
+        z = solve_stack(_whitened_system(a_w, w_inv), nu_w[..., None])[..., 0]
+        u = w_inv[:, :n] * np.einsum("rji,rj->ri", a_w, z)
+        e_y = w_inv[:, n:] * z
         x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
         den = norm(x_old)
         rel = norm(x_new - x_old) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
@@ -406,10 +409,9 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
             x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
             last_rel[leave] = rel.take(out)
             iters[leave] += t
-            active, a_w, b_p, x_pred, nu_w, u, x_new = (
-                v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, u, x_new)
+            active, a_w, b_p, x_pred, nu_w, u, e_y, x_new = (
+                v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, u, e_y, x_new)
             )
-        e_y = nu_w - (a_w @ u[..., None])[..., 0]
         x_old = x_new
     x[active], weights[active], last_rel[active] = x_new, c, rel
     iters[active] += t
@@ -419,40 +421,39 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
-    The KF takes the gain of the prior covariances.  The MCKF whitens the
-    measurement once, with ``B_p = chol(P_pred)`` and the model's ``B_r^-1``,
-    runs `_fixed_point` on ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1
-    innovation``, and forms from each run's last weights the gain
-    `fixed_point_iterate` returns, ``K = B_p diag(wx) A_w' S_w^-1 B_r^-1``.
-    The Joseph update takes that gain, the prior covariance and the nominal
-    ``R``.  Every product is per run (stacked ``@`` or ``einsum``, never one
-    BLAS product over all runs), so no run's numbers depend on the stack.
-    The KF's ``P`` may
-    be one ``(1, n, n)`` covariance shared by all runs (its recursion reads
-    no measurements); stacked ``@`` then broadcasts its one gain over the
-    runs' innovations.  Returns ``(x, P, gain, fixed_point)``:
-    ``fixed_point`` is `_fixed_point`'s ``(weights, last_rel, capped)``, or
-    ``None`` for the KF.
+    The KF applies the textbook gain of the prior covariances and the Joseph
+    update; its ``P`` may be one ``(1, n, n)`` covariance shared by all runs.
+    The MCKF whitens the measurement once (``B_p = chol(P_pred)``, the model's
+    ``B_r^-1``), runs `_fixed_point` on ``A_w = B_r^-1 H B_p`` and ``nu_w =
+    B_r^-1 innovation``, and forms from the last weights ``K_r = B_p diag(wx)
+    A_w' S_w^-1``, whose ``K_r B_r^-1`` is `fixed_point_iterate`'s gain ``K``.
+    As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``, the Joseph
+    covariance is ``P = G G'``, ``G = [B_p - K_r A_w | K_r]``: PSD by
+    construction and, as NumPy forms ``G @ G'`` by a symmetric rank-k update,
+    exactly symmetric.  Every product is per run, never one BLAS product over
+    all runs, so no run's numbers depend on the stack: mat-vecs use
+    ``einsum`` (one pass, where stacked ``@`` makes a BLAS call per run) and
+    matrix products stacked ``@`` (which beats ``einsum`` at these sizes).
+    Returns ``(x, P, gain, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
+    ``(weights, last_rel, capped)``, or ``None`` for the KF.
     """
     H, R = model.H, model.R
     n = x_pred.shape[1]
     innovation = y - np.einsum("ij,rj->ri", H, x_pred)
     if kernel is None:
         gain = _gain(H, p_pred, R)
-        x = x_pred + (gain @ innovation[..., None])[..., 0]
-        fixed_point = None
-    else:
-        b_r_inv, b_p = model.B_r_inv, cholesky_stack(_symmetrize(p_pred))
-        a_w = (b_r_inv @ H) @ b_p
-        nu_w = np.einsum("ij,rj->ri", b_r_inv, innovation)
-        x, weights, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
-        w_inv = 1.0 / weights
-        s_inv_a = solve_stack(_whitened_system(a_w, w_inv), a_w)
-        gain = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a) @ b_r_inv
-        fixed_point = weights, last_rel, capped
-    ikh = np.eye(n) - gain @ H
-    p = _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain))
-    return x, p, gain, fixed_point
+        x = x_pred + np.einsum("...ij,...j->...i", gain, innovation)
+        ikh = np.eye(n) - gain @ H
+        return x, _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain)), gain, None
+    b_r_inv, b_p = model.B_r_inv, cholesky_stack(_symmetrize(p_pred))
+    a_w = (b_r_inv @ H) @ b_p
+    nu_w = np.einsum("ij,rj->ri", b_r_inv, innovation)
+    x, weights, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
+    w_inv = 1.0 / weights
+    s_inv_a = solve_stack(_whitened_system(a_w, w_inv), a_w)
+    k_r = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a)
+    g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
+    return x, g @ _mT(g), k_r @ b_r_inv, (weights, last_rel, capped)
 
 
 def _filter_step(model, kernel, x, p, y, iters):
@@ -484,8 +485,9 @@ def mckf_step(
 
     Runs the batched Monte Carlo engine's step, `_filter_step`, on one run,
     so the result is exactly that run's row of `run_monte_carlo`: predict,
-    the fixed-point solve in gain form, and the Joseph update with the final
-    gain, the prior covariance and the nominal ``R``.  The report is the one
+    the fixed-point solve in gain form, and the Joseph covariance of the
+    final gain, the prior covariance and the nominal ``R``, formed as a Gram
+    product (see `_filter_update`).  The report is the one
     `fixed_point_iterate` gives.
 
     The inputs are checked once: the belief's dimension and a finite

@@ -127,7 +127,7 @@ class GaussianBelief:
     @classmethod
     def _from_filter(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
         """A filter step's output: ``mean`` a float vector and ``cov`` the matching
-        matrix the step just symmetrized, so only finiteness and PSD are checked."""
+        matrix, exactly symmetric, so only finiteness and PSD are checked."""
         require_finite(mean, "GaussianBelief.mean")
         _require_psd(require_finite(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
         belief = object.__new__(cls)

@@ -31,6 +31,7 @@ from robustkf import (
     substream_seed,
 )
 from robustkf.mckf import gaussian_kernel
+from robustkf.numerics import PSD_RTOL
 from robustkf.sim import _generate
 
 from conftest import random_model
@@ -362,6 +363,24 @@ ENGINE_CASES = {
         assumed_q=np.diag([0.0, 0.0, 0.01]),
         p0_scale=0.0,
     ),
+    # n = 5, m = 2: the example-2 and example-1 dynamics side by side, damped
+    # to be stable, one state of each block observed; the only case with n > 3.
+    "wide": dict(
+        example="custom",
+        custom_model=StateSpaceModel(
+            F=0.95 * np.block([
+                [make_example2().F, np.zeros((3, 2))],
+                [np.zeros((2, 3)), make_example1().F],
+            ]),
+            H=[[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0]],
+            Q=0.01 * np.eye(5),
+            R=0.01 * np.eye(2),
+        ),
+        true_x0=(0.0, 0.0, 1.0, 1.0, 0.0),
+        noise_case="impulsive-both",
+        runs=20,
+        steps=30,
+    ),
 }
 
 
@@ -376,6 +395,19 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(fast.nonconverged, slow.nonconverged)
         np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
         np.testing.assert_allclose(fast.covariances, slow.covariances, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_mckf_covariances_are_symmetric_and_psd(self, case):
+        # GaussianBelief._from_filter takes the step's covariance as it is.
+        config = small_config(**ENGINE_CASES[case])
+        result = run_monte_carlo(config, collect_covariances=True)
+        for fi, spec in enumerate(config.filters):
+            if spec.kind != "mckf":
+                continue
+            p = result.covariances[fi][~result.failed_runs[fi]]
+            assert p.size and np.array_equal(p, p.swapaxes(-1, -2))
+            scale = np.abs(p).max(axis=(-2, -1))
+            assert np.all(np.linalg.eigvalsh(p)[..., 0] >= -PSD_RTOL * scale)
 
     @pytest.mark.parametrize("engine", ["batched", "reference"])
     def test_huge_bandwidth_mckf_is_the_kf_on_a_singular_prior(self, engine):
