@@ -275,7 +275,7 @@ def jacobian_f(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np.ndar
     """Analytic Jacobian of the fixed-point map at ``x``.
 
     With residuals ``e_i = d_i - w_i x``, floored weights
-    ``c_i = max(G_sigma(e_i), WEIGHT_FLOOR)`` and Gram matrix
+    ``c = kernel_weights(e, sigma)`` and Gram matrix
     ``N = sum_i c_i w_i' w_i``, column ``j`` is
 
     ``N^-1 * sum_i [e_i w_ij c_i / sigma^2] * w_i' * (d_i - w_i f(x))``

@@ -14,11 +14,8 @@ class NotSymmetric(RobustKFError):
 
 
 class NotPositiveDefinite(RobustKFError):
-    """A matrix is indefinite beyond round-off, or singular where it must be definite."""
-
-
-class NotPSD(RobustKFError):
-    """A covariance matrix has an eigenvalue below the PSD tolerance."""
+    """A matrix has an eigenvalue or a Cholesky pivot below ``-PSD_RTOL * max|a|``
+    (indefinite beyond round-off), or is singular where it must be definite."""
 
 
 class InvalidBandwidth(RobustKFError):

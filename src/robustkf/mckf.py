@@ -16,12 +16,14 @@ implemented:
 * a gain form that reweights the prior and measurement covariances and
   applies a Kalman-style correction (`robust_gain`, `fixed_point_iterate`).
 
-In both forms ``C`` holds the kernel weights clamped below at
-`WEIGHT_FLOOR`.  The weighted-least-squares form never builds the normal
-equations ``W' C W``: it solves through the QR factor of ``C^½ W``, whose
-condition number is the square root of theirs, and the analytic Jacobian in
-`robustkf.diagnostics` reuses that same factor.  Every factorization and
-solve is a ``numpy.linalg`` call.
+``C``'s diagonal is one vector ``c = kernel_weights(e, sigma)`` of length
+``n + m``, state block first: the kernel weights of the residuals clamped
+below at `WEIGHT_FLOOR`.  All three forms (these two and the batched
+filter's below) compute it by that one function.  The weighted-least-squares
+form never builds the normal equations ``W' C W``: it solves through the QR
+factor of ``C^½ W``, whose condition number is the square root of theirs,
+and the analytic Jacobian in `robustkf.diagnostics` reuses that same factor.
+Every factorization and solve is a ``numpy.linalg`` call.
 
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
@@ -52,7 +54,7 @@ from .errors import (
 from .model import GaussianBelief, StateSpaceModel
 from .numerics import cholesky_stack, require_finite, solve_spd, solve_stack
 
-#: Lower clamp on kernel weights before inverting the weight matrices.
+#: Lower clamp on kernel weights (`kernel_weights`) before they are inverted.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
 #: the reweighted covariances finite and corresponds to near-total distrust.
 WEIGHT_FLOOR = 1e-12
@@ -119,24 +121,19 @@ class AugmentedRegression:
 
 
 @dataclass(frozen=True)
-class WeightMatrices:
-    """Diagonal kernel weights of the state block (cx) and measurement block (cy)."""
-
-    cx: np.ndarray
-    cy: np.ndarray
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
     """Outcome of one fixed-point solve.
 
     ``iterations`` counts every gain computed, the first correction from the
     prior mean included (see `fixed_point_iterate`), so it is always >= 1.
+    ``final_weights`` is the `kernel_weights` vector ``c`` of the last
+    iteration, length ``n + m``: the n state weights, then the m measurement
+    weights.
     """
 
     iterations: int
     converged: bool
-    final_weights: WeightMatrices
+    final_weights: np.ndarray
     last_relative_step: float
 
 
@@ -197,38 +194,31 @@ def compute_residuals(reg: AugmentedRegression, x: np.ndarray) -> np.ndarray:
     return reg.D - reg.W @ x
 
 
-def weight_matrices(
-    residuals: np.ndarray, sigma: float, n: int, m: int
-) -> WeightMatrices:
-    """Kernel weights of a residual stack, split into state/measurement blocks.
-
-    Each weight is ``max(G_sigma(e_i), WEIGHT_FLOOR)``.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.shape != (n + m,):
-        raise DimensionMismatch(
-            f"residuals have shape {residuals.shape}, expected ({n + m},)"
-        )
-    g = np.maximum(gaussian_kernel(residuals, sigma), WEIGHT_FLOOR)
-    return WeightMatrices(cx=g[:n], cy=g[n:])
+def kernel_weights(residuals, sigma: float) -> np.ndarray:
+    """Kernel weights ``max(G_sigma(e), WEIGHT_FLOOR)``, elementwise on any shape."""
+    return np.maximum(gaussian_kernel(residuals, sigma), WEIGHT_FLOOR)
 
 
 def robust_gain(
-    reg: AugmentedRegression, weights: WeightMatrices
+    reg: AugmentedRegression, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gain of the reweighted update, plus the reweighted covariances.
 
-    The kernel weights inflate the prior and measurement covariances where
-    residuals are large: ``P_w = B_p Cx^-1 B_p'`` and ``R_w = B_r Cy^-1 B_r'``.
+    The kernel weights ``c`` (length ``n + m``, state block first) inflate
+    the prior and measurement covariances where residuals are large:
+    ``P_w = B_p diag(c[:n])^-1 B_p'`` and ``R_w = B_r diag(c[n:])^-1 B_r'``.
     The gain is the Kalman gain of the inflated pair, solved as an SPD system.
-    With all weights equal to one this is exactly the classic gain.
+    With all weights equal to one this is exactly the classic gain.  A ``c``
+    whose shape is not ``(n + m,)`` raises `DimensionMismatch`.
 
     Returns
     -------
     (gain, P_w, R_w)
     """
-    p_w = (reg.B_p / weights.cx) @ reg.B_p.T
-    r_w = (reg.B_r / weights.cy) @ reg.B_r.T
+    if np.shape(c) != (reg.L,):
+        raise DimensionMismatch(f"weights have shape {np.shape(c)}, expected ({reg.L},)")
+    p_w = (reg.B_p / c[:reg.n]) @ reg.B_p.T
+    r_w = (reg.B_r / c[reg.n:]) @ reg.B_r.T
     s = reg.H @ p_w @ reg.H.T + r_w
     gain = solve_spd((s + s.T) / 2.0, reg.H @ p_w).T
     return gain, p_w, r_w
@@ -238,7 +228,7 @@ def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
     """`fixed_point_map` at ``x`` together with the factor it was solved by.
 
     Returns ``(f, e, c, q, r)``: the map's value ``f``, the residuals ``e``
-    at ``x``, the floored kernel weights ``c`` (see `weight_matrices`), and
+    at ``x``, the floored kernel weights ``c`` (see `kernel_weights`), and
     the reduced QR factor ``C^½ W = q r``.  Then ``f = r^-1 q' C^½ D``.
 
     Raises
@@ -249,8 +239,7 @@ def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
         ``numpy.linalg.matrix_rank``.
     """
     e = compute_residuals(reg, x)
-    wts = weight_matrices(e, sigma, reg.n, reg.m)
-    c = np.concatenate([wts.cx, wts.cy])
+    c = kernel_weights(e, sigma)
     root_c = np.sqrt(c)
     q, r = np.linalg.qr(root_c[:, None] * reg.W)
     singular_values = np.linalg.svd(r, compute_uv=False)
@@ -307,17 +296,16 @@ def fixed_point_iterate(
     innovation = reg.y - reg.H @ reg.prior_mean
     x_prev = reg.prior_mean
     for t in range(1, config.max_iterations + 1):
-        e = compute_residuals(reg, x_prev)
-        wts = weight_matrices(e, config.sigma, reg.n, reg.m)
-        gain, _, _ = robust_gain(reg, wts)
+        c = kernel_weights(compute_residuals(reg, x_prev), config.sigma)
+        gain, _, _ = robust_gain(reg, c)
         x = reg.prior_mean + gain @ innovation
         if not np.all(np.isfinite(x)):
             raise Diverged(f"fixed-point iterate {t} is not finite")
         rel = _relative_step(x, x_prev)
         if rel <= config.epsilon:
-            return x, gain, FixedPointReport(t, True, wts, rel)
+            return x, gain, FixedPointReport(t, True, c, rel)
         x_prev = x
-    return x, gain, FixedPointReport(config.max_iterations, False, wts, rel)
+    return x, gain, FixedPointReport(config.max_iterations, False, c, rel)
 
 
 def fixed_point_direct(reg: AugmentedRegression, config: KernelConfig) -> np.ndarray:
@@ -368,7 +356,7 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     x_pred)`` with ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``:
     the residuals at ``u`` are ``e = [u ; nu_w - A_w u]`` (the kernel squares
     them, so the sign of ``u`` is immaterial).  With the floored kernel
-    weights ``c = max(G_sigma(e), WEIGHT_FLOOR)`` and ``w_inv = 1 / c``,
+    weights ``c = kernel_weights(e, sigma)`` and ``w_inv = 1 / c``,
     split into ``(wx, wy)``, the next iterate is ``u = wx A_w' z``, where
     ``S_w z = nu_w`` (`_whitened_system`): ``x = x_pred + B_p u`` is the
     iterate of `fixed_point_iterate`, and ``nu_w - A_w u = diag(wy) z``
@@ -392,7 +380,7 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     u, e_y, x_old = np.zeros((runs, n)), nu_w, x_pred
     for t in range(1, kernel.max_iterations + 1):
         e = np.concatenate([u, e_y], axis=1)
-        c = np.maximum(gaussian_kernel(e, kernel.sigma), WEIGHT_FLOOR)
+        c = kernel_weights(e, kernel.sigma)
         w_inv = 1.0 / c
         z = solve_stack(_whitened_system(a_w, w_inv), nu_w[..., None])[..., 0]
         u = w_inv[:, :n] * np.einsum("rji,rj->ri", a_w, z)
@@ -500,6 +488,5 @@ def mckf_step(
     x, p, _, (weights, last_rel, capped) = _filter_step(
         model, config, posterior_prev.mean[None], posterior_prev.cov[None], y, iters
     )
-    wts = WeightMatrices(cx=weights[0, :model.n], cy=weights[0, model.n:])
-    report = FixedPointReport(int(iters[0]), capped.size == 0, wts, float(last_rel[0]))
+    report = FixedPointReport(int(iters[0]), capped.size == 0, weights[0], float(last_rel[0]))
     return GaussianBelief._from_filter(x[0], p[0]), report

@@ -14,16 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotPSD
+from .errors import DimensionMismatch, NotPositiveDefinite
 from .numerics import PSD_RTOL, cholesky_lower, require_finite, require_symmetric, solve_stack
 from .rng import RandomStream
 
 
 def _require_psd(cov: np.ndarray, name: str) -> None:
-    """Raise `NotPSD` if the symmetric ``cov`` has an eigenvalue below
-    ``-PSD_RTOL * max|cov|``."""
+    """Raise `NotPositiveDefinite` if the symmetric ``cov`` has an eigenvalue
+    below ``-PSD_RTOL * max|cov|``."""
     if np.linalg.eigvalsh(cov)[0] < -PSD_RTOL * float(np.max(np.abs(cov))):
-        raise NotPSD(f"{name} has a negative eigenvalue beyond tolerance")
+        raise NotPositiveDefinite(f"{name} has a negative eigenvalue beyond tolerance")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class StateSpaceModel:
     NotSymmetric
         Q or R not symmetric within tolerance.
     NotPositiveDefinite
-        R singular or indefinite: its factor (`cholesky_lower`) fails.
-    NotPSD
+        R singular or indefinite, so its factor (`cholesky_lower`) fails; or
         Q has an eigenvalue below ``-PSD_RTOL * max|Q|``.
     """
 

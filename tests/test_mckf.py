@@ -26,17 +26,25 @@ from robustkf import (
     fixed_point_map,
     gaussian_kernel,
     generate_run_data,
+    kernel_weights,
     kf_predict,
     kf_update,
     make_example1,
+    make_example2,
     mckf_step,
     min_eigenvalue_symmetric,
     robust_gain,
     sufficient_sigma,
-    weight_matrices,
     zeta,
 )
-from robustkf.mckf import WEIGHT_FLOOR, _filter_step, _filter_update, _gain, _whitened_system
+from robustkf.mckf import (
+    WEIGHT_FLOOR,
+    _filter_step,
+    _filter_update,
+    _gain,
+    _whitened_system,
+    weighted_qr_map,
+)
 from robustkf.sim import _joseph
 from conftest import random_model, random_regression, random_spd
 
@@ -169,18 +177,15 @@ class TestResidualsAndWeights:
             compute_residuals(reg, np.zeros(3))
 
     def test_zero_residuals_give_unit_weights(self):
-        wts = weight_matrices(np.zeros(4), 1.5, 2, 2)
-        np.testing.assert_array_equal(wts.cx, [1.0, 1.0])
-        np.testing.assert_array_equal(wts.cy, [1.0, 1.0])
+        np.testing.assert_array_equal(kernel_weights(np.zeros(4), 1.5), [1.0, 1.0, 1.0, 1.0])
 
     def test_huge_residual_clamps_to_floor(self):
-        wts = weight_matrices(np.array([0.0, 1e6]), 1.0, 1, 1)
-        assert wts.cy[0] == WEIGHT_FLOOR
+        assert kernel_weights(np.array([0.0, 1e6]), 1.0)[1] == WEIGHT_FLOOR
 
     def test_closed_form_weights(self):
-        wts = weight_matrices(np.array([0.0, 1.0]), 1.0, 1, 1)
-        assert wts.cx[0] == 1.0
-        assert wts.cy[0] == pytest.approx(math.exp(-0.5))
+        c = kernel_weights(np.array([0.0, 1.0]), 1.0)
+        assert c[0] == 1.0
+        assert c[1] == pytest.approx(math.exp(-0.5))
 
 
 class TestRobustGain:
@@ -189,8 +194,7 @@ class TestRobustGain:
         prior = GaussianBelief(rng.standard_normal(3), random_spd(rng, 3))
         y = rng.standard_normal(2)
         reg = build_regression(model, prior, y)
-        wts = weight_matrices(np.zeros(5), 1.0, 3, 2)
-        gain, p_w, r_w = robust_gain(reg, wts)
+        gain, p_w, r_w = robust_gain(reg, kernel_weights(np.zeros(5), 1.0))
         np.testing.assert_allclose(p_w, prior.cov, atol=1e-12)
         np.testing.assert_allclose(r_w, model.R, atol=1e-12)
         _, classic = kf_update(model, prior, y)
@@ -198,17 +202,39 @@ class TestRobustGain:
 
     def test_scalar_by_hand(self):
         _, _, reg = scalar_regression(p=1.0, r=1.0, h=1.0)
-        wts = weight_matrices(np.array([0.0, math.sqrt(2.0 * math.log(2.0))]), 1.0, 1, 1)
-        gain, p_w, r_w = robust_gain(reg, wts)
+        c = kernel_weights(np.array([0.0, math.sqrt(2.0 * math.log(2.0))]), 1.0)
+        gain, p_w, r_w = robust_gain(reg, c)
         assert p_w[0, 0] == pytest.approx(1.0)
         assert r_w[0, 0] == pytest.approx(2.0)
         assert gain[0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_fully_distrusted_measurement_kills_gain(self):
         _, _, reg = scalar_regression(p=1.0, r=1.0, h=1.0)
-        wts = weight_matrices(np.array([0.0, 1e9]), 1.0, 1, 1)
-        gain, _, _ = robust_gain(reg, wts)
+        gain, _, _ = robust_gain(reg, kernel_weights(np.array([0.0, 1e9]), 1.0))
         assert abs(gain[0, 0]) <= 1e-6
+
+    @pytest.mark.parametrize("extra", [-3, 1], ids=["length-1", "length-L+1"])
+    def test_weights_of_the_wrong_length_are_rejected(self, rng, extra):
+        # Unchecked, c[:n] = [0.5] would broadcast and give P_w = 2 P.
+        model = make_example2()
+        prior = GaussianBelief(rng.standard_normal(3), random_spd(rng, 3))
+        reg = build_regression(model, prior, rng.standard_normal(1))
+        with pytest.raises(DimensionMismatch):
+            robust_gain(reg, np.full(reg.L + extra, 0.5))
+
+
+def test_every_form_floors_the_weights_alike():
+    """The gain form, the QR form and the filter step all take their weights
+    from `kernel_weights`: the same vector bit for bit, the outlier's at the floor."""
+    model, sigma, prior = make_example1(), 2.0, GaussianBelief(np.zeros(2), np.eye(2))
+    reg = build_regression(model, prior, [1e6])
+    c = kernel_weights(compute_residuals(reg, reg.prior_mean), sigma)
+    assert c[-1] == WEIGHT_FLOOR
+    np.testing.assert_array_equal(weighted_qr_map(reg, reg.prior_mean, sigma)[2], c)
+    kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=1)
+    np.testing.assert_array_equal(fixed_point_iterate(reg, kernel)[2].final_weights, c)
+    _, report = mckf_step(model, prior, [1e6], kernel)
+    assert report.final_weights.shape == (model.n + model.m,)
 
 
 class TestFixedPoint:

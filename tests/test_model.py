@@ -8,7 +8,6 @@ from robustkf import (
     GaussianBelief,
     MixtureNoiseSpec,
     NonFinite,
-    NotPSD,
     NotPositiveDefinite,
     NotSymmetric,
     RandomStream,
@@ -38,7 +37,7 @@ class TestValidateModel:
             StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=[[0.0]])
 
     def test_indefinite_process_noise_rejected(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPositiveDefinite):
             StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.diag([1.0, -1e-3]), R=[[1.0]])
 
     def test_asymmetric_noise_rejected(self):
@@ -75,7 +74,7 @@ class TestValidateModel:
 
 class TestGaussianBelief:
     def test_rejects_indefinite_covariance(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPositiveDefinite):
             GaussianBelief([0.0, 0.0], np.diag([1.0, -0.1]))
 
     def test_rejects_asymmetric_covariance(self):

@@ -464,11 +464,9 @@ class TestBatchedEngine:
                 belief, report = mckf_step(fmodel, belief, y, kernel)
                 est[k], iters[k] = belief.mean, report.iterations
                 assert (report.iterations, report.converged) == (oracle.iterations, oracle.converged)
-                for got, want in (
-                    (report.final_weights.cx, oracle.final_weights.cx),
-                    (report.final_weights.cy, oracle.final_weights.cy),
-                ):
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(
+                    report.final_weights, oracle.final_weights, rtol=1e-12, atol=0.0
+                )
                 # The last step is a difference of two nearly equal iterates,
                 # each rounded to about eps * |x|, and it is divided by |x|:
                 # the two forms' rounding enters it as an absolute ~eps.
