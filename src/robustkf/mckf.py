@@ -28,8 +28,9 @@ Every factorization and solve is a ``numpy.linalg`` call.
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
 runs at once.  It iterates in whitened measurement coordinates, forms its
-final gain from the same innovation matrices (`_whitened_system`), and
-writes that gain's Joseph covariance as an exactly symmetric Gram product.
+final gain there, ``K_r = K B_r``, from the same innovation matrices
+(`_whitened_system`), and writes the Joseph covariance of that gain as an
+exactly symmetric Gram product.
 The one-regression functions here (`build_regression`,
 `fixed_point_iterate`, ...) are the reference engine's independent
 implementation, and the direct form a cross-check of both.  With all kernel
@@ -142,7 +143,7 @@ def gaussian_kernel(e, sigma: float):
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be > 0, got {sigma}")
     e = np.asarray(e, dtype=float)
-    out = np.exp(-(e * e) / (2.0 * sigma * sigma))
+    out = np.exp((e * e) / (-2.0 * sigma * sigma))  # the sign in the divisor: a pass fewer
     return float(out) if out.ndim == 0 else out
 
 
@@ -389,9 +390,10 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
         den = norm(x_old)
         rel = norm(x_new - x_old) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
         going = rel > kernel.epsilon
-        if t == kernel.max_iterations or not going.any():
+        n_going = np.count_nonzero(going)
+        if t == kernel.max_iterations or not n_going:
             break
-        if not going.all():
+        if n_going < going.size:
             out, keep = np.flatnonzero(~going), np.flatnonzero(going)
             leave = active.take(out)
             x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
@@ -422,8 +424,9 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     all runs, so no run's numbers depend on the stack: mat-vecs use
     ``einsum`` (one pass, where stacked ``@`` makes a BLAS call per run) and
     matrix products stacked ``@`` (which beats ``einsum`` at these sizes).
-    Returns ``(x, P, gain, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
-    ``(weights, last_rel, capped)``, or ``None`` for the KF.
+    Returns ``(x, P, gain, fixed_point)``: ``gain`` is the KF's ``K``, or the
+    MCKF's ``K_r``; ``fixed_point`` is `_fixed_point`'s ``(weights, last_rel,
+    capped)``, or ``None`` for the KF.
     """
     H, R = model.H, model.R
     n = x_pred.shape[1]
@@ -439,15 +442,16 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     x, weights, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
     w_inv = 1.0 / weights
     s_inv_a = solve_stack(_whitened_system(a_w, w_inv), a_w)
-    k_r = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a)
-    g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
-    return x, g @ _mT(g), k_r @ b_r_inv, (weights, last_rel, capped)
+    g = np.empty((x.shape[0], n, n + model.m))
+    k_r = np.matmul(b_p * w_inv[:, None, :n], _mT(s_inv_a), out=g[..., n:])
+    np.subtract(b_p, k_r @ a_w, out=g[..., :n])
+    return x, g @ _mT(g), k_r, (weights, last_rel, capped)
 
 
 def _filter_step(model, kernel, x, p, y, iters):
     """One predict/update cycle of a stack of runs (see `_filter_update`)."""
     x_pred = np.einsum("ij,rj->ri", model.F, x)
-    p_pred = model.F @ p @ model.F.T + model.Q
+    p_pred = model.F @ p @ model.F_T + model.Q
     return _filter_update(model, kernel, x_pred, p_pred, y, iters)
 
 

@@ -34,7 +34,8 @@ class StateSpaceModel:
     matrix, ``Q`` the process-noise covariance and ``R`` the measurement-noise
     covariance.  Construction copies the arrays, checks the invariants below
     once, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing ``B_r``
-    and ``B_r_inv`` for every filter step.  All six arrays are read-only, so
+    and ``B_r_inv`` for every filter step, with ``F_T``, a C-contiguous copy
+    of ``F'`` for the stacked predict.  All seven arrays are read-only, so
     neither the checks nor the factor can go stale.
 
     Raises
@@ -56,6 +57,7 @@ class StateSpaceModel:
     R: np.ndarray
     B_r: np.ndarray = field(init=False, repr=False, compare=False)
     B_r_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    F_T: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("F", "H", "Q", "R"):
@@ -81,7 +83,8 @@ class StateSpaceModel:
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
-        for name, arr in (("B_r", b_r), ("B_r_inv", solve_stack(b_r, np.eye(m)))):
+        derived = (("B_r", b_r), ("B_r_inv", solve_stack(b_r, np.eye(m))), ("F_T", F.T.copy()))
+        for name, arr in derived:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -228,10 +231,8 @@ def sample_mixture_sequence(
     u = u.reshape(u.shape[:-1] + (steps, d, 3))
     out = np.empty(u.shape[:-1])
     for i, coord in enumerate(spec.components):
-        cum = np.cumsum([w for w, _, _ in coord])
-        idx = np.minimum(
-            np.searchsorted(cum, u[..., i, 0], side="right"), len(coord) - 1
-        )
+        # The component is the count of cumulative weights, the last excepted, at or below u.
+        idx = sum((edge <= u[..., i, 0] for edge in np.cumsum([w for w, _, _ in coord])[:-1]), 0)
         mus = np.array([mu for _, mu, _ in coord])
         sds = np.sqrt([var for _, _, var in coord])
         z = np.sqrt(-2.0 * np.log(u[..., i, 1])) * np.cos(2.0 * np.pi * u[..., i, 2])

@@ -459,7 +459,8 @@ def run_monte_carlo(
             x, p = x0_hats, p0s[:1] if shared else p0s
             for k in range(steps):
                 x, p, capped = step(fmodel, spec.kernel, x, p, ys[:, k], iterations[fi, :, k])
-                nonconverged[fi, capped] += 1
+                if len(capped):
+                    nonconverged[fi, capped] += 1
                 errors[fi, :, k] = x
                 if collect_covariances:
                     covariances[fi, :, k] = p

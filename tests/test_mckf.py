@@ -70,6 +70,19 @@ class TestGaussianKernel:
         with pytest.raises(InvalidBandwidth):
             gaussian_kernel(1.0, 0.0)
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sign_in_the_divisor_is_the_textbook_form(self, seed):
+        # The kernel divides e^2 by -2 sigma^2 rather than negating e^2 first:
+        # IEEE negation is exact, so the two forms agree bit for bit.
+        rng = np.random.default_rng(seed)
+        e = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000)
+        e = np.concatenate([e, [0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf]])
+        with np.errstate(over="ignore"):  # e^2 overflows to inf above 1e154
+            for sigma in 10.0 ** rng.uniform(-150.0, 150.0, 10):
+                want = np.exp(-(e * e) / (2.0 * sigma * sigma))
+                assert np.array_equal(gaussian_kernel(e, sigma), want)
+
 
 class TestCorrentropyEstimate:
     def test_zero_errors(self):
@@ -498,13 +511,14 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
     kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=cap)
     x_pred = rng.standard_normal(n)
     y = H @ x_pred + b_r @ rng.standard_normal(m) * 10.0 ** rng.uniform(0.0, 2.0)
-    gain, fixed_point = _filter_update(
+    k_r, fixed_point = _filter_update(
         model, kernel, x_pred[None], (b_p @ b_p.T)[None], y[None], np.zeros(1, np.int32)
     )[2:]
     p_w, r_w = reweighted(fixed_point[0][0])
     want = _gain(H, p_w, r_w)
     slack = 10.0 * np.linalg.cond(H @ p_w @ H.T + r_w) * eps
-    np.testing.assert_allclose(gain[0], want, rtol=1e-10, atol=slack * np.abs(want).max())
+    gain = k_r[0] @ b_r_inv  # the MCKF's gain is K_r, in whitened measurement coordinates
+    np.testing.assert_allclose(gain, want, rtol=1e-10, atol=slack * np.abs(want).max())
 
     belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n, 0.5))
     iters = np.zeros(1, dtype=np.int32)

@@ -144,6 +144,26 @@ class TestMixtureNoiseSpec:
         singles = np.array([sample_mixture(spec, stream) for _ in range(25)])
         np.testing.assert_array_equal(block, singles)
 
+    @pytest.mark.parametrize(
+        "weights", [(1.0,), (0.9, 0.1), (0.0, 1.0), (1.0, 0.0), (0.2, 0.3, 0.5), (0.5, 0.0, 0.5)]
+    )
+    def test_component_pick_is_the_clamped_searchsorted(self, weights):
+        # Component j is the point mass at j, so each draw is the index picked.
+        spec = MixtureNoiseSpec(((tuple((w, float(j), 0.0) for j, w in enumerate(weights))),))
+        cum = np.cumsum(weights)
+        picks = np.unique(np.concatenate(
+            [cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf), [0.0, 0.5]]
+        ))
+
+        class Uniforms:  # the pick, then a fixed Box-Muller pair, per draw
+            def uniforms(self, count):
+                assert count == 3 * picks.size
+                return np.stack([picks, np.full_like(picks, 0.5), np.full_like(picks, 0.25)], 1).ravel()
+
+        got = sample_mixture_sequence(spec, picks.size, Uniforms())[:, 0]
+        want = np.minimum(np.searchsorted(cum, picks, side="right"), len(weights) - 1)
+        np.testing.assert_array_equal(got, want)
+
     def test_batch_rows_match_single_streams(self):
         spec = MixtureNoiseSpec.iid(2, IMPULSIVE)
         seeds = np.array([3, 5, 8], dtype=np.uint64)

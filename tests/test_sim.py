@@ -30,7 +30,7 @@ from robustkf import (
     run_monte_carlo,
     substream_seed,
 )
-from robustkf.mckf import gaussian_kernel
+from robustkf.mckf import _filter_step, gaussian_kernel
 from robustkf.numerics import PSD_RTOL
 from robustkf.sim import _generate
 
@@ -475,6 +475,31 @@ class TestBatchedEngine:
                 )
             np.testing.assert_array_equal(est - data.truths, result.errors[fi, run])
             np.testing.assert_array_equal(iters, result.iterations[fi, run])
+
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_step_writes_into_none_of_its_inputs(self, case):
+        # The step writes in place (the Gram factor, the diagonals of S_w),
+        # always into arrays of its own.
+        config = small_config(**ENGINE_CASES[case])
+        model, fmodel = config.resolve_model(), config.filter_model()
+        n, (x0_hats, _, ys) = model.n, _generate(config, model, range(config.runs))
+        for spec in config.filters:
+            x, p = x0_hats, np.broadcast_to(config.p0_scale * np.eye(n), (config.runs, n, n)).copy()
+            iters = np.zeros(config.runs, dtype=np.int32)
+            for k in range(config.steps):
+                inputs = (x, p, ys[:, k])
+                before = [a.copy() for a in inputs]
+                x, p = _filter_step(fmodel, spec.kernel, *inputs, iters)[:2]
+                assert all(map(np.array_equal, inputs, before))
+            if spec.kind != "mckf":
+                continue
+            data = generate_run_data(config, 0)
+            belief = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(n))
+            for y in data.measurements:
+                inputs = (belief.mean, belief.cov, y)
+                before = [a.copy() for a in inputs]
+                belief = mckf_step(fmodel, belief, y, spec.kernel)[0]
+                assert all(map(np.array_equal, inputs, before))
 
     @pytest.mark.parametrize("case", ["impulsive-both", "two-measurements"])
     def test_kf_covariance_is_one_track_for_all_runs(self, case):
