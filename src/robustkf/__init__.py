@@ -37,7 +37,6 @@ from .mckf import (
     KernelConfig,
     build_regression,
     compute_residuals,
-    correntropy_estimate,
     fixed_point_direct,
     fixed_point_iterate,
     fixed_point_map,
@@ -56,7 +55,6 @@ from .model import (
 )
 from .numerics import (
     cholesky_lower,
-    induced_l1_norm,
     min_eigenvalue_symmetric,
     solve_spd,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "build_regression",
     "cholesky_lower",
     "compute_residuals",
-    "correntropy_estimate",
     "error_density",
     "fixed_point_direct",
     "fixed_point_iterate",
@@ -113,7 +110,6 @@ __all__ = [
     "flop_counts",
     "gaussian_kernel",
     "generate_run_data",
-    "induced_l1_norm",
     "jacobian_f",
     "kernel_weights",
     "kf_predict",

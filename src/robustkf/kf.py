@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .mckf import _checked_measurement, _filter_update
-from .model import GaussianBelief, StateSpaceModel
+from .model import GaussianBelief, StateSpaceModel, _require_psd
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:
@@ -41,10 +41,13 @@ def kf_update(
     ``(I - K H) P (I - K H).T + K R K.T``, which stays PSD under perturbed
     gains.  The inputs are checked once: the belief's dimension and a finite
     measurement of length m.  ``R`` was checked when the model was built.
-    The posterior must be finite and PSD.
+    The posterior must be finite and PSD: the Joseph sum is no Gram product,
+    so its smallest eigenvalue is checked (`_require_psd`).
 
     Returns ``(posterior, gain)``, the gain an n x m matrix.
     """
     y = _checked_measurement(model, prior, y, "kf_update")
     x, p, gain, _ = _filter_update(model, None, prior.mean[None], prior.cov[None], y, None)
-    return GaussianBelief._from_filter(x[0], p[0]), gain[0]
+    posterior = GaussianBelief._from_filter(x[0], p[0])
+    _require_psd(posterior.cov, "GaussianBelief.cov")
+    return posterior, gain[0]

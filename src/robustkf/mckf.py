@@ -27,10 +27,11 @@ Every factorization and solve is a ``numpy.linalg`` call.
 
 The filter runs the gain form over a stack of runs (`_filter_step`), which
 `mckf_step` runs for one run and the batched Monte Carlo engine for all
-runs at once.  It iterates in whitened measurement coordinates, forms its
-final gain there, ``K_r = K B_r``, from the same innovation matrices
-(`_whitened_system`), and writes the Joseph covariance of that gain as an
-exactly symmetric Gram product.
+runs at once.  It iterates in whitened measurement coordinates on the
+augmented design ``[A_w | I]``, whose ``n + m`` columns give the stacked
+regression's residuals as one array, forms its final gain there, ``K_r = K
+B_r``, from the same innovation matrices (`_whitened_system`), and writes
+the Joseph covariance of that gain as an exactly symmetric Gram product.
 The one-regression functions here (`build_regression`,
 `fixed_point_iterate`, ...) are the reference engine's independent
 implementation, and the direct form a cross-check of both.  With all kernel
@@ -49,7 +50,6 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     InvalidBandwidth,
-    EmptyInput,
     SingularDesign,
 )
 from .model import GaussianBelief, StateSpaceModel
@@ -145,18 +145,6 @@ def gaussian_kernel(e, sigma: float):
     e = np.asarray(e, dtype=float)
     out = np.exp((e * e) / (-2.0 * sigma * sigma))  # the sign in the divisor: a pass fewer
     return float(out) if out.ndim == 0 else out
-
-
-def correntropy_estimate(errors: np.ndarray, sigma: float) -> float:
-    """Sample correntropy of an error sequence: the mean kernel value.
-
-    This is also the objective the fixed-point update maximizes, evaluated
-    at whitened residuals.
-    """
-    errors = np.atleast_1d(np.asarray(errors, dtype=float))
-    if errors.size == 0:
-        raise EmptyInput("correntropy_estimate: empty error sequence")
-    return float(np.mean(gaussian_kernel(errors, sigma)))
 
 
 def build_regression(
@@ -342,29 +330,28 @@ def _gain(H, p, r):
     return _mT(solve_stack(_symmetrize(H @ pht + r), _mT(pht)))
 
 
-def _whitened_system(a_w, w_inv):
-    """``S_w = A_w diag(wx) A_w' + diag(wy)`` of each run, with ``w_inv = [wx, wy]``."""
-    runs, m, n = a_w.shape
-    s = (a_w * w_inv[:, None, :n]) @ _mT(a_w)
-    s.reshape(runs, m * m)[:, :: m + 1] += w_inv[:, n:]  # the diagonals, in place
-    return s
+def _whitened_system(a_t, w_inv):
+    """``S_w = A_t diag(w_inv) A_t'`` of each run, with ``A_t = [A_w | I]`` and
+    ``w_inv = [wx, wy]``: that is ``A_w diag(wx) A_w' + diag(wy)``."""
+    return (a_t * w_inv[:, None, :]) @ _mT(a_t)
 
 
-def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
+def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
     """Fixed-point solve of the correntropy update of every run of a stack.
 
     Iterates, in whitened measurement coordinates, ``u = B_p^-1 (x -
-    x_pred)`` with ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``:
-    the residuals at ``u`` are ``e = [u ; nu_w - A_w u]`` (the kernel squares
-    them, so the sign of ``u`` is immaterial).  With the floored kernel
-    weights ``c = kernel_weights(e, sigma)`` and ``w_inv = 1 / c``,
-    split into ``(wx, wy)``, the next iterate is ``u = wx A_w' z``, where
-    ``S_w z = nu_w`` (`_whitened_system`): ``x = x_pred + B_p u`` is the
-    iterate of `fixed_point_iterate`, and ``nu_w - A_w u = diag(wy) z``
-    comes from the same solve.  Each trip works on the rows of the runs still
-    iterating, compacted with ``take``.  A run leaves when its relative step
-    is at most ``epsilon`` or NaN, or at the cap; only then are its iterate,
-    weights, last relative step and count written.
+    x_pred)`` on the augmented design ``A_t = [A_w | I]``, with ``A_w =
+    B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``: the residuals at ``u``
+    are the one array ``e = [u ; nu_w - A_w u]`` of length ``n + m`` (the
+    kernel squares them, so the sign of ``u`` is immaterial).  With the
+    floored kernel weights ``c = kernel_weights(e, sigma)`` and ``w_inv = 1 /
+    c``, the next residuals are ``e = w_inv * (A_t' z)``, where ``S_w z =
+    nu_w`` (`_whitened_system`): their state block is the next ``u``, and
+    ``x = x_pred + B_p u`` the iterate of `fixed_point_iterate`.  Each trip
+    works on the rows of the runs still iterating, compacted with ``take``.
+    A run leaves when its relative step is at most ``epsilon`` or NaN, or at
+    the cap; only then are its iterate, weights, last relative step and
+    count written.
 
     ``iters`` gains each run's iteration count.  Returns the final iterates
     ``x``, the weights ``c`` and the relative step of each run's last
@@ -376,17 +363,15 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     def norm(v):  # the 2-norm of each row
         return np.sqrt(np.einsum("ri,ri->r", v, v))
 
-    x, weights = np.empty_like(x_pred), np.empty((runs, n + nu_w.shape[1]))
+    x, weights = np.empty_like(x_pred), np.empty((runs, a_t.shape[2]))
     last_rel, active = np.empty(runs), np.arange(runs)
-    u, e_y, x_old = np.zeros((runs, n)), nu_w, x_pred
+    e, x_old = np.concatenate([np.zeros((runs, n)), nu_w], axis=1), x_pred
     for t in range(1, kernel.max_iterations + 1):
-        e = np.concatenate([u, e_y], axis=1)
         c = kernel_weights(e, kernel.sigma)
         w_inv = 1.0 / c
-        z = solve_stack(_whitened_system(a_w, w_inv), nu_w[..., None])[..., 0]
-        u = w_inv[:, :n] * np.einsum("rji,rj->ri", a_w, z)
-        e_y = w_inv[:, n:] * z
-        x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
+        z = solve_stack(_whitened_system(a_t, w_inv), nu_w[..., None])[..., 0]
+        e = w_inv * np.einsum("rji,rj->ri", a_t, z)
+        x_new = x_pred + np.einsum("rij,rj->ri", b_p, e[:, :n])
         den = norm(x_old)
         rel = norm(x_new - x_old) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
         going = rel > kernel.epsilon
@@ -399,8 +384,8 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
             x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
             last_rel[leave] = rel.take(out)
             iters[leave] += t
-            active, a_w, b_p, x_pred, nu_w, u, e_y, x_new = (
-                v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, u, e_y, x_new)
+            active, a_t, b_p, x_pred, nu_w, e, x_new = (
+                v.take(keep, axis=0) for v in (active, a_t, b_p, x_pred, nu_w, e, x_new)
             )
         x_old = x_new
     x[active], weights[active], last_rel[active] = x_new, c, rel
@@ -414,11 +399,13 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     The KF applies the textbook gain of the prior covariances and the Joseph
     update; its ``P`` may be one ``(1, n, n)`` covariance shared by all runs.
     The MCKF whitens the measurement once (``B_p = chol(P_pred)``, the model's
-    ``B_r^-1``), runs `_fixed_point` on ``A_w = B_r^-1 H B_p`` and ``nu_w =
+    ``H_w = B_r^-1 H`` and ``B_r^-1``), builds the augmented design ``A_t =
+    [A_w | I]``, ``A_w = H_w B_p``, runs `_fixed_point` on it and ``nu_w =
     B_r^-1 innovation``, and forms from the last weights ``K_r = B_p diag(wx)
     A_w' S_w^-1``, whose ``K_r B_r^-1`` is `fixed_point_iterate`'s gain ``K``.
     As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``, the Joseph
-    covariance is ``P = G G'``, ``G = [B_p - K_r A_w | K_r]``: PSD by
+    covariance is ``P = G G'``, ``G = K_r A_t`` with ``B_p`` minus its first
+    ``n`` columns written in place, that is ``[B_p - K_r A_w | K_r]``: PSD by
     construction and, as NumPy forms ``G @ G'`` by a symmetric rank-k update,
     exactly symmetric.  Every product is per run, never one BLAS product over
     all runs, so no run's numbers depend on the stack: mat-vecs use
@@ -436,15 +423,17 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
         x = x_pred + np.einsum("...ij,...j->...i", gain, innovation)
         ikh = np.eye(n) - gain @ H
         return x, _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain)), gain, None
-    b_r_inv, b_p = model.B_r_inv, cholesky_stack(_symmetrize(p_pred))
-    a_w = (b_r_inv @ H) @ b_p
-    nu_w = np.einsum("ij,rj->ri", b_r_inv, innovation)
-    x, weights, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
+    b_p = cholesky_stack(_symmetrize(p_pred))
+    a_t = np.empty((x_pred.shape[0], model.m, n + model.m))
+    a_w = np.matmul(model.H_w, b_p, out=a_t[..., :n])
+    a_t[..., n:] = np.eye(model.m)
+    nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
+    x, weights, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
     w_inv = 1.0 / weights
-    s_inv_a = solve_stack(_whitened_system(a_w, w_inv), a_w)
-    g = np.empty((x.shape[0], n, n + model.m))
-    k_r = np.matmul(b_p * w_inv[:, None, :n], _mT(s_inv_a), out=g[..., n:])
-    np.subtract(b_p, k_r @ a_w, out=g[..., :n])
+    s_inv_a = solve_stack(_whitened_system(a_t, w_inv), a_w)
+    k_r = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a)
+    g = k_r @ a_t
+    np.subtract(b_p, g[..., :n], out=g[..., :n])
     return x, g @ _mT(g), k_r, (weights, last_rel, capped)
 
 
@@ -485,7 +474,8 @@ def mckf_step(
     The inputs are checked once: the belief's dimension and a finite
     measurement of length m.  ``R`` was checked and factored when the model
     was built.  A predicted covariance indefinite beyond round-off raises
-    `NotPositiveDefinite`; the posterior must be finite and PSD.
+    `NotPositiveDefinite`; the posterior must be finite, and is PSD by
+    construction (see `GaussianBelief._from_filter`).
     """
     y = _checked_measurement(model, posterior_prev, y, "mckf_step")
     iters = np.zeros(1, dtype=np.int32)

@@ -33,10 +33,11 @@ class StateSpaceModel:
     ``F`` is the n x n state transition matrix, ``H`` the m x n observation
     matrix, ``Q`` the process-noise covariance and ``R`` the measurement-noise
     covariance.  Construction copies the arrays, checks the invariants below
-    once, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing ``B_r``
-    and ``B_r_inv`` for every filter step, with ``F_T``, a C-contiguous copy
-    of ``F'`` for the stacked predict.  All seven arrays are read-only, so
-    neither the checks nor the factor can go stale.
+    once, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing ``B_r``,
+    ``B_r_inv`` and the whitened ``H_w = B_r_inv H`` for every filter step,
+    with ``F_T``, a C-contiguous copy of ``F'`` for the stacked predict.  All
+    eight arrays are read-only, so neither the checks nor the factor can go
+    stale.
 
     Raises
     ------
@@ -58,6 +59,7 @@ class StateSpaceModel:
     B_r: np.ndarray = field(init=False, repr=False, compare=False)
     B_r_inv: np.ndarray = field(init=False, repr=False, compare=False)
     F_T: np.ndarray = field(init=False, repr=False, compare=False)
+    H_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("F", "H", "Q", "R"):
@@ -83,7 +85,8 @@ class StateSpaceModel:
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
-        derived = (("B_r", b_r), ("B_r_inv", solve_stack(b_r, np.eye(m))), ("F_T", F.T.copy()))
+        b_r_inv = solve_stack(b_r, np.eye(m))
+        derived = (("B_r", b_r), ("B_r_inv", b_r_inv), ("F_T", F.T.copy()), ("H_w", b_r_inv @ H))
         for name, arr in derived:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -129,9 +132,15 @@ class GaussianBelief:
     @classmethod
     def _from_filter(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianBelief":
         """A filter step's output: ``mean`` a float vector and ``cov`` the matching
-        matrix, exactly symmetric, so only finiteness and PSD are checked."""
+        Gram product ``G G'`` (see `robustkf.mckf._filter_update`), so only
+        finiteness is checked.
+
+        NumPy forms ``G @ G'`` exactly symmetric, and for a finite n x k ``G``
+        its rounded value has ``lambda_min >= -~n k u max|cov|``, ``u`` the unit
+        round-off: far inside ``PSD_RTOL``, so `_require_psd` could never fire.
+        `kf_update`, whose Joseph sum is no Gram product, calls it itself."""
         require_finite(mean, "GaussianBelief.mean")
-        _require_psd(require_finite(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
+        require_finite(cov, "GaussianBelief.cov")
         belief = object.__new__(cls)
         object.__setattr__(belief, "mean", mean)
         object.__setattr__(belief, "cov", cov)

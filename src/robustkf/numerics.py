@@ -32,7 +32,7 @@ def require_finite(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise DimensionMismatch(f"{name}: empty array")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{name}: non-finite entries are not admitted")
     return a
 
@@ -151,16 +151,3 @@ def min_eigenvalue_symmetric(a: np.ndarray) -> float:
     a = require_symmetric(a, "min_eigenvalue_symmetric")
     return float(np.linalg.eigvalsh(a)[0])
 
-
-def induced_l1_norm(a: np.ndarray) -> float:
-    """Induced 1-norm of a matrix: the maximum absolute column sum.
-
-    A 1-D input is treated as a single column, so for vectors this is the
-    plain absolute-entry sum.
-    """
-    a = require_finite(a, "induced_l1_norm")
-    if a.ndim == 1:
-        return float(np.sum(np.abs(a)))
-    if a.ndim != 2:
-        raise DimensionMismatch(f"induced_l1_norm: expected 1-D or 2-D, got {a.ndim}-D")
-    return float(np.max(np.sum(np.abs(a), axis=0)))

@@ -1,14 +1,49 @@
-"""Shared generators for randomized sweeps.
+"""Shared generators for randomized sweeps, and test oracles.
 
 Tests use seeded numpy generators for instance sampling, so every sweep is
 reproducible; the package's own stream type is only used where the contract
-under test is about those streams.
+under test is about those streams.  The oracles below are quantities the
+tests check the package against that no part of the package computes.
 """
 
 import numpy as np
 import pytest
 
-from robustkf import GaussianBelief, StateSpaceModel, build_regression
+from robustkf import (
+    DimensionMismatch,
+    EmptyInput,
+    GaussianBelief,
+    StateSpaceModel,
+    build_regression,
+    gaussian_kernel,
+)
+from robustkf.numerics import require_finite
+
+
+def induced_l1_norm(a: np.ndarray) -> float:
+    """Induced 1-norm of a matrix: the maximum absolute column sum.
+
+    A 1-D input is treated as a single column, so for vectors this is the
+    plain absolute-entry sum.
+    """
+    a = require_finite(a, "induced_l1_norm")
+    if a.ndim == 1:
+        return float(np.sum(np.abs(a)))
+    if a.ndim != 2:
+        raise DimensionMismatch(f"induced_l1_norm: expected 1-D or 2-D, got {a.ndim}-D")
+    return float(np.max(np.sum(np.abs(a), axis=0)))
+
+
+def correntropy_estimate(errors: np.ndarray, sigma: float) -> float:
+    """Sample correntropy of an error sequence: the mean kernel value.
+
+    This is also the objective the fixed-point update maximizes, evaluated
+    at whitened residuals.
+    """
+    errors = np.atleast_1d(np.asarray(errors, dtype=float))
+    if errors.size == 0:
+        raise EmptyInput("correntropy_estimate: empty error sequence")
+    return float(np.mean(gaussian_kernel(errors, sigma)))
 
 
 def random_spd(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarray:

@@ -19,7 +19,6 @@ from robustkf import (
     fixed_point_map,
     flop_counts,
     generate_run_data,
-    induced_l1_norm,
     jacobian_f,
     kf_predict,
     kf_update,
@@ -29,7 +28,7 @@ from robustkf import (
     zeta,
 )
 from robustkf.cli import run_cli
-from conftest import random_model, random_regression, random_spd
+from conftest import induced_l1_norm, random_model, random_regression, random_spd
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -25,7 +25,6 @@ from robustkf import (
     flop_counts,
     gaussian_kernel,
     generate_run_data,
-    induced_l1_norm,
     jacobian_f,
     kf_predict,
     kf_update,
@@ -44,7 +43,7 @@ from robustkf.diagnostics import (
     _bounds,
 )
 from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression
-from conftest import random_regression
+from conftest import induced_l1_norm, random_regression
 
 
 def unit_scalar_regression(x_prior=1.0, y=1.0):

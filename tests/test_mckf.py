@@ -20,7 +20,6 @@ from robustkf import (
     StateSpaceModel,
     build_regression,
     compute_residuals,
-    correntropy_estimate,
     fixed_point_direct,
     fixed_point_iterate,
     fixed_point_map,
@@ -46,7 +45,7 @@ from robustkf.mckf import (
     weighted_qr_map,
 )
 from robustkf.sim import _joseph
-from conftest import random_model, random_regression, random_spd
+from conftest import correntropy_estimate, random_model, random_regression, random_spd
 
 
 def scalar_regression(p=1.0, r=1.0, h=1.0, x_prior=0.0, y=0.0):
@@ -505,7 +504,7 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
     c = np.maximum(10.0 ** rng.uniform(-13.0, 0.0, n + m), WEIGHT_FLOOR)
     p_w, r_w = reweighted(c)
     want = b_r_inv @ (H @ p_w @ H.T + r_w) @ b_r_inv.T
-    got = _whitened_system(a_w[None], 1.0 / c[None])[0]
+    got = _whitened_system(np.hstack([a_w, np.eye(m)])[None], 1.0 / c[None])[0]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13 * np.abs(want).max())
 
     kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=cap)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustkf import (
     DimensionMismatch,
@@ -17,6 +19,7 @@ from robustkf import (
     sample_mixture,
     sample_mixture_sequence,
 )
+from robustkf.model import _require_psd
 
 IMPULSIVE = ((0.9, 0.0, 0.01), (0.1, 0.0, 100.0))
 
@@ -60,13 +63,14 @@ class TestValidateModel:
         np.testing.assert_allclose(model.B_r @ model.B_r.T, R, rtol=1e-15)
         np.testing.assert_allclose(model.B_r_inv @ model.B_r, np.eye(2), atol=1e-15)
         assert np.all(np.triu(model.B_r, 1) == 0.0)
+        np.testing.assert_array_equal(model.H_w, model.B_r_inv @ model.H)
 
     def test_arrays_are_read_only_copies(self):
         R = np.array([[1.0]])
         model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=R)
         with pytest.raises(ValueError):
             model.R[0, 0] = 2.0
-        for name in ("F", "H", "Q", "R", "B_r", "B_r_inv"):
+        for name in ("F", "H", "Q", "R", "B_r", "B_r_inv", "F_T", "H_w"):
             assert not getattr(model, name).flags.writeable, name
         R[0, 0] = 4.0
         assert model.R[0, 0] == 1.0 and model.B_r[0, 0] == 1.0
@@ -103,6 +107,26 @@ class TestGaussianBelief:
     def test_rejects_a_covariance_whose_symmetrized_copy_overflows(self):
         with np.errstate(over="ignore"), pytest.raises(NonFinite):
             GaussianBelief([0.0, 0.0], [[1.5e308, 0.0], [0.0, 1.0]])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 3))),
+        coupling=st.integers(-18, 0),
+        exponent=st.floats(-150.0, 150.0),
+    )
+    def test_a_gram_product_passes_the_psd_test(self, seed, dims, coupling, exponent):
+        # `_from_filter` checks no eigenvalue of the filters' G G': for a finite
+        # n x k G, fl(G G') has lambda_min >= -~n k u max|P|, far inside PSD_RTOL.
+        # Rows near a span of fewer than n rows put lambda_min at round-off.
+        rng = np.random.default_rng(seed)
+        n, k = dims
+        runs, rank = 4, int(rng.integers(1, n + 1))
+        g = rng.standard_normal((runs, n, rank)) @ rng.standard_normal((runs, rank, k))
+        g += 10.0**coupling * rng.standard_normal((runs, n, k))
+        g *= 10.0 ** (exponent - rng.uniform(0.0, 2.0, (runs, n, 1)))
+        for p in g @ g.swapaxes(-1, -2):
+            _require_psd(p, "G G'")
 
 
 class TestMixtureNoiseSpec:

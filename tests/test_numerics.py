@@ -5,12 +5,11 @@ from robustkf import (
     NotPositiveDefinite,
     NotSymmetric,
     cholesky_lower,
-    induced_l1_norm,
     min_eigenvalue_symmetric,
     solve_spd,
 )
 from robustkf.numerics import cholesky_stack
-from conftest import random_spd
+from conftest import induced_l1_norm, random_spd
 
 
 def max_abs(a):
