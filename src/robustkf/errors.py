@@ -14,8 +14,8 @@ class NotSymmetric(RobustKFError):
 
 
 class NotPositiveDefinite(RobustKFError):
-    """A matrix has an eigenvalue or a Cholesky pivot below ``-PSD_RTOL * max|a|``
-    (indefinite beyond round-off), or is singular where it must be definite."""
+    """A matrix has an eigenvalue below ``-PSD_RTOL * max|a|`` (indefinite beyond
+    round-off, `numerics._require_psd`), or is singular where it must be definite."""
 
 
 class InvalidBandwidth(RobustKFError):

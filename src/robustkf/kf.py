@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .mckf import _checked_measurement, _filter_update
-from .model import GaussianBelief, StateSpaceModel, _require_psd
+from .model import GaussianBelief, StateSpaceModel
+from .numerics import _require_psd
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:

@@ -473,9 +473,9 @@ def mckf_step(
 
     The inputs are checked once: the belief's dimension and a finite
     measurement of length m.  ``R`` was checked and factored when the model
-    was built.  A predicted covariance indefinite beyond round-off raises
-    `NotPositiveDefinite`; the posterior must be finite, and is PSD by
-    construction (see `GaussianBelief._from_filter`).
+    was built.  A predicted covariance `cholesky_stack` rejects (an eigenvalue
+    below ``-PSD_RTOL * max|P|``) raises `NotPositiveDefinite`; the posterior
+    must be finite, and is PSD by construction (`GaussianBelief._from_filter`).
     """
     y = _checked_measurement(model, posterior_prev, y, "mckf_step")
     iters = np.zeros(1, dtype=np.int32)

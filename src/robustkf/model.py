@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numerics import PSD_RTOL, cholesky_lower, require_finite, require_symmetric, solve_stack
+from .numerics import _require_psd, cholesky_lower, require_finite, require_symmetric, solve_stack
 from .rng import RandomStream
-
-
-def _require_psd(cov: np.ndarray, name: str) -> None:
-    """Raise `NotPositiveDefinite` if the symmetric ``cov`` has an eigenvalue
-    below ``-PSD_RTOL * max|cov|``."""
-    if np.linalg.eigvalsh(cov)[0] < -PSD_RTOL * float(np.max(np.abs(cov))):
-        raise NotPositiveDefinite(f"{name} has a negative eigenvalue beyond tolerance")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from robustkf import (
+    GaussianBelief,
+    KernelConfig,
     NotPositiveDefinite,
     NotSymmetric,
+    StateSpaceModel,
+    build_regression,
     cholesky_lower,
+    mckf_step,
     min_eigenvalue_symmetric,
     solve_spd,
 )
-from robustkf.numerics import cholesky_stack
+from robustkf.numerics import PSD_RTOL, cholesky_stack
 from conftest import induced_l1_norm, random_spd
 
 
@@ -47,15 +52,54 @@ class TestCholeskyLower:
             lower = cholesky_stack(a)
             assert np.array_equal(np.tril(lower), lower)
             assert max_abs(lower @ lower.T - a) <= 1e-10 * (1.0 + max_abs(a))
+        # A zero pivot before a nonzero one; entries near the float maximum,
+        # where an unscaled eigen-root overflows; the zero matrix; a small first
+        # pivot, which the roots of round-off eigenvalues (~1e-8) would tilt.
+        middle_zero = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        small_first = np.outer([8e-4, -0.5, -3.0], [8e-4, -0.5, -3.0])
+        for a in (middle_zero, np.full((2, 2), 1e308), np.zeros((3, 3)), small_first):
+            lower = cholesky_stack(a)
+            assert np.array_equal(np.tril(lower), lower)
+            assert max_abs(lower @ lower.T - a) <= 1e-10 * (1.0 + max_abs(a))
+        assert not cholesky_stack(middle_zero)[:, 1].any()
+        assert not cholesky_stack(np.zeros((3, 3))).any()
 
     def test_round_off_pivot_gives_zero_column(self):
         # The tolerance is relative to each matrix: -5e-16 is round-off beside
         # 1, and -1e-5 beside 1e6, but not beside 1.
         np.testing.assert_array_equal(cholesky_stack(np.diag([1.0, -5e-16])), np.diag([1.0, 0.0]))
         np.testing.assert_array_equal(cholesky_stack(np.diag([1e6, -1e-5])), np.diag([1e3, 0.0]))
-        for a in (np.diag([1.0, -1e-5]), np.diag([1.0, -1.0])):
+        # A NaN or infinite entry is never round-off.
+        non_finite = (np.array([[np.inf, 1.0], [1.0, -1.0]]), np.array([[1.0, 1.0], [1.0, -np.inf]]))
+        for a in (np.diag([1.0, -1e-5]), np.diag([1.0, -1.0])) + non_finite:
             with pytest.raises(NotPositiveDefinite):
                 cholesky_stack(a)
+
+    def test_every_covariance_a_belief_accepts_factors(self):
+        # Nearly singular, slightly indefinite: Q diag(1, 10^U(-16,-8),
+        # -10^U(-13,-9.5)) Q'.  The belief's eigenvalue rule decides; the factor,
+        # the regression and a step with F = I, Q = 0 (so P_pred is the belief's
+        # covariance) must then all go through.
+        rng = np.random.default_rng(2026)
+        model = StateSpaceModel(F=np.eye(3), H=[[1.0, 0.5, -0.3]], Q=np.zeros((3, 3)), R=[[0.1]])
+        config = KernelConfig(sigma=2.0, epsilon=1e-6)
+        beliefs = []
+        for _ in range(2000):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            lam = [1.0, 10 ** rng.uniform(-16, -8), -(10 ** rng.uniform(-13, -9.5))]
+            try:
+                beliefs.append(GaussianBelief(np.zeros(3), q @ np.diag(lam) @ q.T))
+            except NotPositiveDefinite:
+                pass
+        assert len(beliefs) > 1000
+        covs = np.stack([b.cov for b in beliefs])
+        lower = cholesky_stack(covs)
+        scale = np.max(np.abs(covs), axis=(1, 2))
+        assert np.all(np.max(np.abs(lower @ lower.transpose(0, 2, 1) - covs), axis=(1, 2))
+                      <= np.sqrt(PSD_RTOL) * scale)
+        for belief in beliefs:  # zero innovation: one fixed-point trip each
+            build_regression(model, belief, [0.0])
+            mckf_step(model, belief, [0.0], config)
 
     def test_not_positive_definite(self):
         # A singular matrix has no positive definite factor, whatever
