@@ -30,8 +30,8 @@ The filter runs the gain form over a stack of runs (`_filter_step`), which
 runs at once.  It iterates in whitened measurement coordinates on the
 augmented design ``[A_w | I]``, whose ``n + m`` columns give the stacked
 regression's residuals as one array, forms its final gain there, ``K_r = K
-B_r``, from the same innovation matrices (`_whitened_system`), and writes
-the Joseph covariance of that gain as an exactly symmetric Gram product.
+B_r``, from the last trip's innovation matrix (`_whitened_system`), and
+writes the Joseph covariance of that gain as an exactly symmetric Gram product.
 The one-regression functions here (`build_regression`,
 `fixed_point_iterate`, ...) are the reference engine's independent
 implementation, and the direct form a cross-check of both.  With all kernel
@@ -350,47 +350,49 @@ def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
     ``x = x_pred + B_p u`` the iterate of `fixed_point_iterate`.  Each trip
     works on the rows of the runs still iterating, compacted with ``take``.
     A run leaves when its relative step is at most ``epsilon`` or NaN, or at
-    the cap; only then are its iterate, weights, last relative step and
-    count written.
+    the cap; only then are its iterate, weights, ``S_w``, last relative step
+    and count written.
 
     ``iters`` gains each run's iteration count.  Returns the final iterates
-    ``x``, the weights ``c`` and the relative step of each run's last
-    iteration, and the indices of the runs that hit the cap (not those that
-    converge on the last permitted trip).
+    ``x``, the weights ``c``, the ``S_w`` formed from them and the relative
+    step of each run's last iteration, and the indices of the runs that hit
+    the cap (not those that converge on the last permitted trip).
     """
-    runs, n = x_pred.shape
+    (runs, n), m = x_pred.shape, nu_w.shape[1]
 
     def norm(v):  # the 2-norm of each row
         return np.sqrt(np.einsum("ri,ri->r", v, v))
 
     x, weights = np.empty_like(x_pred), np.empty((runs, a_t.shape[2]))
-    last_rel, active = np.empty(runs), np.arange(runs)
+    s_w, last_rel, active = np.empty((runs, m, m)), np.empty(runs), np.arange(runs)
     e, x_old = np.concatenate([np.zeros((runs, n)), nu_w], axis=1), x_pred
     for t in range(1, kernel.max_iterations + 1):
         c = kernel_weights(e, kernel.sigma)
         w_inv = 1.0 / c
-        z = solve_stack(_whitened_system(a_t, w_inv), nu_w[..., None])[..., 0]
+        s = _whitened_system(a_t, w_inv)
+        z = solve_stack(s, nu_w[..., None])[..., 0]
         e = w_inv * np.einsum("rji,rj->ri", a_t, z)
         x_new = x_pred + np.einsum("rij,rj->ri", b_p, e[:, :n])
         den = norm(x_old)
-        rel = norm(x_new - x_old) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
+        np.putmask(den, den < _STEP_NORM_GUARD, 1.0)
+        rel = norm(x_new - x_old) / den
         going = rel > kernel.epsilon
         n_going = np.count_nonzero(going)
         if t == kernel.max_iterations or not n_going:
             break
         if n_going < going.size:
-            out, keep = np.flatnonzero(~going), np.flatnonzero(going)
+            (out,), (keep,) = (~going).nonzero(), going.nonzero()
             leave = active.take(out)
             x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
-            last_rel[leave] = rel.take(out)
+            s_w[leave], last_rel[leave] = s.take(out, axis=0), rel.take(out)
             iters[leave] += t
             active, a_t, b_p, x_pred, nu_w, e, x_new = (
                 v.take(keep, axis=0) for v in (active, a_t, b_p, x_pred, nu_w, e, x_new)
             )
         x_old = x_new
-    x[active], weights[active], last_rel[active] = x_new, c, rel
+    x[active], weights[active], s_w[active], last_rel[active] = x_new, c, s, rel
     iters[active] += t
-    return x, weights, last_rel, active[going]
+    return x, weights, s_w, last_rel, active[going]
 
 
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
@@ -401,16 +403,22 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     The MCKF whitens the measurement once (``B_p = chol(P_pred)``, the model's
     ``H_w = B_r^-1 H`` and ``B_r^-1``), builds the augmented design ``A_t =
     [A_w | I]``, ``A_w = H_w B_p``, runs `_fixed_point` on it and ``nu_w =
-    B_r^-1 innovation``, and forms from the last weights ``K_r = B_p diag(wx)
-    A_w' S_w^-1``, whose ``K_r B_r^-1`` is `fixed_point_iterate`'s gain ``K``.
-    As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``, the Joseph
-    covariance is ``P = G G'``, ``G = K_r A_t`` with ``B_p`` minus its first
-    ``n`` columns written in place, that is ``[B_p - K_r A_w | K_r]``: PSD by
-    construction and, as NumPy forms ``G @ G'`` by a symmetric rank-k update,
-    exactly symmetric.  Every product is per run, never one BLAS product over
-    all runs, so no run's numbers depend on the stack: mat-vecs use
-    ``einsum`` (one pass, where stacked ``@`` makes a BLAS call per run) and
-    matrix products stacked ``@`` (which beats ``einsum`` at these sizes).
+    B_r^-1 innovation``, and forms from the last weights and the last trip's
+    ``S_w`` the gain ``K_r = B_p diag(wx) A_w' S_w^-1``, whose ``K_r B_r^-1``
+    is `fixed_point_iterate`'s gain ``K``.  As ``(I - K H) B_p = B_p - K_r
+    A_w`` and ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``,
+    ``G = K_r A_t`` with ``B_p`` minus its first ``n`` columns written in
+    place, that is ``[B_p - K_r A_w | K_r]``: PSD by construction.  ``G G'``
+    is a general matrix product against a contiguous copy of ``G'`` (``G @
+    G'`` on one buffer is a symmetric rank-k update, twice as slow per run at
+    100 runs and more), exactly symmetric as elements ``(i, j)`` and ``(j,
+    i)`` sum the same products in the same order.  Every product is per run,
+    never one BLAS product over all runs, so no run's numbers depend on the
+    stack: mat-vecs use ``einsum`` (one pass, where stacked ``@`` makes a
+    BLAS call per run) and matrix products stacked ``@``, not always the
+    faster: for ``H_w @ B_p`` (n = 2, m = 1) it takes 1.9 µs against
+    ``einsum``'s 4.0 at 1 run, but 9.7 against 8.8 at 100 and 130 against 47
+    at 4000.
     Returns ``(x, P, gain, fixed_point)``: ``gain`` is the KF's ``K``, or the
     MCKF's ``K_r``; ``fixed_point`` is `_fixed_point`'s ``(weights, last_rel,
     capped)``, or ``None`` for the KF.
@@ -428,13 +436,11 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     a_w = np.matmul(model.H_w, b_p, out=a_t[..., :n])
     a_t[..., n:] = np.eye(model.m)
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
-    x, weights, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
-    w_inv = 1.0 / weights
-    s_inv_a = solve_stack(_whitened_system(a_t, w_inv), a_w)
-    k_r = (b_p * w_inv[:, None, :n]) @ _mT(s_inv_a)
+    x, weights, s_w, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
+    k_r = (b_p * (1.0 / weights[:, None, :n])) @ _mT(solve_stack(s_w, a_w))
     g = k_r @ a_t
     np.subtract(b_p, g[..., :n], out=g[..., :n])
-    return x, g @ _mT(g), k_r, (weights, last_rel, capped)
+    return x, g @ np.ascontiguousarray(_mT(g)), k_r, (weights, last_rel, capped)
 
 
 def _filter_step(model, kernel, x, p, y, iters):

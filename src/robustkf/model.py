@@ -128,7 +128,9 @@ class GaussianBelief:
         Gram product ``G G'`` (see `robustkf.mckf._filter_update`), so only
         finiteness is checked.
 
-        NumPy forms ``G @ G'`` exactly symmetric, and for a finite n x k ``G``
+        The step forms ``G G'`` by a general matrix product against a contiguous
+        copy of ``G'``, exactly symmetric because elements ``(i, j)`` and ``(j,
+        i)`` sum the same products in the same order; for a finite n x k ``G``
         its rounded value has ``lambda_min >= -~n k u max|cov|``, ``u`` the unit
         round-off: far inside ``PSD_RTOL``, so `_require_psd` could never fire.
         `kf_update`, whose Joseph sum is no Gram product, calls it itself."""

@@ -34,7 +34,7 @@ from robustkf.mckf import _filter_step, gaussian_kernel
 from robustkf.numerics import PSD_RTOL
 from robustkf.sim import _generate
 
-from conftest import random_model
+from conftest import random_model, random_spd
 
 
 _MASK64 = 2**64 - 1
@@ -534,6 +534,19 @@ class TestBatchedEngine:
         result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
         assert sum(rows) == result.iterations[1].sum()
 
+    def test_whitened_system_formed_once_per_iteration(self, monkeypatch):
+        # The final gain solves with the last trip's S_w; it forms none of its own.
+        rows = []
+        whitened_system = robustkf.mckf._whitened_system
+
+        def counting_system(a_t, w_inv):
+            rows.append(len(a_t))
+            return whitened_system(a_t, w_inv)
+
+        monkeypatch.setattr(robustkf.mckf, "_whitened_system", counting_system)
+        result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
+        assert sum(rows) == result.iterations[1].sum()
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
@@ -566,6 +579,29 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
     np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
     for kf, mckf in (fast.errors, slow.errors):
         assert np.max(np.abs(mckf - kf)) <= 1e-11 * (1.0 + np.max(np.abs(kf)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    sigma=st.floats(0.1, 1e4),
+)
+def test_mckf_covariances_are_exactly_symmetric_on_random_models(seed, dims, sigma):
+    # The Gram product G G' is a general matrix product, symmetric because each
+    # element pair sums the same products in the same order; ENGINE_CASES build
+    # only a few of the shapes (n, n + m) that this rests on.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, *dims)
+    kernel = KernelConfig(sigma=sigma, epsilon=1e-6)
+    for width in (1, 64):
+        x = rng.standard_normal((width, model.n))
+        p = np.stack([random_spd(rng, model.n, 0.5) for _ in range(width)])
+        y = rng.standard_normal((width, model.m)) * 10.0 ** rng.integers(0, 3, (width, 1))
+        p = _filter_step(model, kernel, x, p, y, np.zeros(width, dtype=np.int32))[1]
+        assert np.array_equal(p, p.swapaxes(-1, -2))
+        scale = np.abs(p).max(axis=(-2, -1))
+        assert np.all(np.linalg.eigvalsh(p)[..., 0] >= -PSD_RTOL * scale)
 
 
 class TestErrorDensity:
