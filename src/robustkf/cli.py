@@ -162,10 +162,11 @@ def _experiment_from_args(ns) -> ExperimentConfig:
     if sigma_flag is not None or epsilon_flag is not None or "filters" not in data:
         sigmas = _parse_float_list(sigma_flag, "--sigma") if sigma_flag else [2.0]
         epsilons = _parse_float_list(epsilon_flag, "--epsilon") if epsilon_flag else [1e-6]
-        cap = getattr(ns, "max_iterations", 100)
+        cap = getattr(ns, "max_iterations", None)
+        capped = {} if cap is None else {"max_iterations": cap}
         filters = [{"kind": "kf"}]
         filters += [
-            {"kind": "mckf", "sigma": s, "epsilon": e, "max_iterations": cap}
+            {"kind": "mckf", "sigma": s, "epsilon": e, **capped}
             for s in sigmas
             for e in epsilons
         ]
@@ -342,7 +343,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser, with_grid: bool = True):
     if with_grid:
         p.add_argument("--sigma", help="comma-separated kernel bandwidths")
         p.add_argument("--epsilon", help="comma-separated stop thresholds")
-        p.add_argument("--max-iterations", type=int, default=100, dest="max_iterations")
+        p.add_argument("--max-iterations", type=int, dest="max_iterations")
 
 
 def _build_parser() -> argparse.ArgumentParser:

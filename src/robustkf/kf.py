@@ -2,9 +2,9 @@
 
 These are the baseline estimator.  `kf_predict` is the prior propagation the
 reference Monte Carlo engine composes with the correntropy update;
-`kf_update` is the kernel-free case of the stacked update the filters share
-(`robustkf.mckf._filter_update`), run on one trajectory.  Both functions are
-pure; the returned beliefs hold symmetrized covariances.
+`kf_update` is the unit-weight case of the whitened update the filters
+share (`robustkf.mckf._filter_update`), run on one trajectory.  Both
+functions are pure; the returned beliefs hold exactly symmetric covariances.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .mckf import _checked_measurement, _filter_update
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import _require_psd
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:
@@ -37,18 +36,17 @@ def kf_update(
     """Condition a prior belief on one measurement.
 
     Runs the KF case of the batched Monte Carlo engine's update,
-    `_filter_update`, on one run.  The gain solves ``(H P H.T + R) K.T =
-    H P`` (no explicit inverse); the covariance uses the Joseph form
-    ``(I - K H) P (I - K H).T + K R K.T``, which stays PSD under perturbed
-    gains.  The inputs are checked once: the belief's dimension and a finite
-    measurement of length m.  ``R`` was checked when the model was built.
-    The posterior must be finite and PSD: the Joseph sum is no Gram product,
-    so its smallest eigenvalue is checked (`_require_psd`).
+    `_filter_update`, on one run: the MCKF's whitened update at unit kernel
+    weights.  Its gain is the textbook ``P H' (H P H' + R)^-1``, solved in
+    whitened measurement coordinates (no explicit inverse); its covariance is
+    the Joseph form ``(I - K H) P (I - K H)' + K R K'``, which stays PSD
+    under perturbed gains, written as a Gram product, so it is exactly
+    symmetric and PSD by construction.  The inputs are checked once: the
+    belief's dimension and a finite measurement of length m.  ``R`` was
+    checked and factored when the model was built.
 
     Returns ``(posterior, gain)``, the gain an n x m matrix.
     """
     y = _checked_measurement(model, prior, y, "kf_update")
-    x, p, gain, _ = _filter_update(model, None, prior.mean[None], prior.cov[None], y, None)
-    posterior = GaussianBelief._from_filter(x[0], p[0])
-    _require_psd(posterior.cov, "GaussianBelief.cov")
-    return posterior, gain[0]
+    x, p, k_r, _ = _filter_update(model, None, prior.mean[None], prior.cov[None], y, None)
+    return GaussianBelief._from_filter(x[0], p[0]), k_r[0] @ model.B_r_inv

@@ -25,18 +25,20 @@ factor of ``C^½ W``, whose condition number is the square root of theirs,
 and the analytic Jacobian in `robustkf.diagnostics` reuses that same factor.
 Every factorization and solve is a ``numpy.linalg`` call.
 
-The filter runs the gain form over a stack of runs (`_filter_step`), which
-`mckf_step` runs for one run and the batched Monte Carlo engine for all
-runs at once.  It iterates in whitened measurement coordinates on the
-augmented design ``[A_w | I]``, whose ``n + m`` columns give the stacked
-regression's residuals as one array, forms its final gain there, ``K_r = K
-B_r``, from the last trip's innovation matrix (`_whitened_system`), and
-writes the Joseph covariance of that gain as an exactly symmetric Gram product.
-The one-regression functions here (`build_regression`,
-`fixed_point_iterate`, ...) are the reference engine's independent
-implementation, and the direct form a cross-check of both.  With all kernel
-weights equal to one, the forms collapse to the ordinary Kalman update, and
-that limit is approached as the bandwidth grows.
+With all kernel weights equal to one, the forms collapse to the ordinary
+Kalman update, and that limit is approached as the bandwidth grows.  The
+filters' one measurement update (`_filter_update`) rests on that: it runs the
+gain form over a stack of runs (`_filter_step`), which `mckf_step` runs for
+one run and the batched Monte Carlo engine for all runs at once, and the KF
+(`robustkf.kf.kf_update`, the engine's KF) is its unit-weight case.  It
+iterates in whitened measurement coordinates on the augmented design ``[A_w
+| I]``, whose ``n + m`` columns give the stacked regression's residuals as
+one array, forms its final gain there, ``K_r = K B_r``, from the last
+innovation matrix (`_whitened_system`), and writes the Joseph covariance of
+that gain as an exactly symmetric Gram product.  The one-regression
+functions here (`build_regression`, `fixed_point_iterate`, ...) are the
+reference engine's independent implementation, and the direct form a
+cross-check of both.
 """
 
 from __future__ import annotations
@@ -320,16 +322,6 @@ def _mT(a):
     return a.swapaxes(-1, -2)
 
 
-def _symmetrize(p):
-    return (p + _mT(p)) / 2.0
-
-
-def _gain(H, p, r):
-    """Kalman gains ``P H' (H P H' + R)^-1`` of a stack of ``(P, R)`` pairs."""
-    pht = p @ H.T
-    return _mT(solve_stack(_symmetrize(H @ pht + r), _mT(pht)))
-
-
 def _whitened_system(a_t, w_inv):
     """``S_w = A_t diag(w_inv) A_t'`` of each run, with ``A_t = [A_w | I]`` and
     ``w_inv = [wx, wy]``: that is ``A_w diag(wx) A_w' + diag(wy)``."""
@@ -398,49 +390,49 @@ def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
-    The KF applies the textbook gain of the prior covariances and the Joseph
-    update; its ``P`` may be one ``(1, n, n)`` covariance shared by all runs.
-    The MCKF whitens the measurement once (``B_p = chol(P_pred)``, the model's
-    ``H_w = B_r^-1 H`` and ``B_r^-1``), builds the augmented design ``A_t =
-    [A_w | I]``, ``A_w = H_w B_p``, runs `_fixed_point` on it and ``nu_w =
-    B_r^-1 innovation``, and forms from the last weights and the last trip's
-    ``S_w`` the gain ``K_r = B_p diag(wx) A_w' S_w^-1``, whose ``K_r B_r^-1``
-    is `fixed_point_iterate`'s gain ``K``.  As ``(I - K H) B_p = B_p - K_r
-    A_w`` and ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``,
-    ``G = K_r A_t`` with ``B_p`` minus its first ``n`` columns written in
-    place, that is ``[B_p - K_r A_w | K_r]``: PSD by construction.  ``G G'``
-    is a general matrix product against a contiguous copy of ``G'`` (``G @
-    G'`` on one buffer is a symmetric rank-k update, twice as slow per run at
-    100 runs and more), exactly symmetric as elements ``(i, j)`` and ``(j,
-    i)`` sum the same products in the same order.  Every product is per run,
-    never one BLAS product over all runs, so no run's numbers depend on the
-    stack: mat-vecs use ``einsum`` (one pass, where stacked ``@`` makes a
-    BLAS call per run) and matrix products stacked ``@``, not always the
-    faster: for ``H_w @ B_p`` (n = 2, m = 1) it takes 1.9 µs against
-    ``einsum``'s 4.0 at 1 run, but 9.7 against 8.8 at 100 and 130 against 47
-    at 4000.
-    Returns ``(x, P, gain, fixed_point)``: ``gain`` is the KF's ``K``, or the
-    MCKF's ``K_r``; ``fixed_point`` is `_fixed_point`'s ``(weights, last_rel,
-    capped)``, or ``None`` for the KF.
+    Both filters whiten the measurement once (``B_p = chol(P_pred)``, the
+    model's ``H_w = B_r^-1 H`` and ``B_r^-1``) and build the augmented design
+    ``A_t = [A_w | I]``, ``A_w = H_w B_p``, and ``nu_w = B_r^-1 innovation``.
+    The MCKF runs `_fixed_point` on them; the KF is its unit-weight case,
+    ``S_w = _whitened_system(A_t, 1)`` and ``x = x_pred + K_r nu_w``, and its
+    ``P`` may be one ``(1, n, n)`` covariance shared by all runs.  From the
+    last weights and ``S_w``, both form the gain ``K_r = B_p diag(wx) A_w'
+    S_w^-1``, whose ``K_r B_r^-1`` is the textbook gain (the KF's) or
+    `fixed_point_iterate`'s ``K``.  As ``(I - K H) B_p = B_p - K_r A_w`` and
+    ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``, ``G = K_r
+    A_t`` with ``B_p`` minus its first ``n`` columns written in place, that is
+    ``[B_p - K_r A_w | K_r]``: PSD by construction.  ``G G'`` is a general
+    matrix product against a contiguous copy of ``G'`` (``G @ G'`` on one
+    buffer is a symmetric rank-k update, twice as slow per run at 100 runs and
+    more), exactly symmetric as elements ``(i, j)`` and ``(j, i)`` sum the
+    same products in the same order.  Every product is per run, never one
+    BLAS product over all runs, so no run's numbers depend on the stack:
+    mat-vecs use ``einsum`` (one pass, where stacked ``@`` makes a BLAS call
+    per run) and matrix products stacked ``@``, not always the faster: for
+    ``H_w @ B_p`` (n = 2, m = 1) it takes 1.9 µs against ``einsum``'s 4.0 at 1
+    run, but 9.7 against 8.8 at 100 and 130 against 47 at 4000.
+    Returns ``(x, P, K_r, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
+    ``(weights, last_rel, capped)``, or ``None`` for the KF.
     """
-    H, R = model.H, model.R
-    n = x_pred.shape[1]
-    innovation = y - np.einsum("ij,rj->ri", H, x_pred)
-    if kernel is None:
-        gain = _gain(H, p_pred, R)
-        x = x_pred + np.einsum("...ij,...j->...i", gain, innovation)
-        ikh = np.eye(n) - gain @ H
-        return x, _symmetrize(ikh @ p_pred @ _mT(ikh) + gain @ R @ _mT(gain)), gain, None
-    b_p = cholesky_stack(_symmetrize(p_pred))
-    a_t = np.empty((x_pred.shape[0], model.m, n + model.m))
+    (runs, n), m = p_pred.shape[:2], model.m
+    innovation = y - np.einsum("ij,rj->ri", model.H, x_pred)
+    b_p = cholesky_stack((p_pred + _mT(p_pred)) / 2.0)
+    a_t = np.empty((runs, m, n + m))
     a_w = np.matmul(model.H_w, b_p, out=a_t[..., :n])
-    a_t[..., n:] = np.eye(model.m)
+    a_t[..., n:] = np.eye(m)
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
-    x, weights, s_w, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
+    if kernel is None:
+        weights, fixed_point = np.ones((runs, n + m)), None
+        s_w = _whitened_system(a_t, weights)
+    else:
+        x, weights, s_w, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
+        fixed_point = (weights, last_rel, capped)
     k_r = (b_p * (1.0 / weights[:, None, :n])) @ _mT(solve_stack(s_w, a_w))
+    if kernel is None:
+        x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
     g = k_r @ a_t
     np.subtract(b_p, g[..., :n], out=g[..., :n])
-    return x, g @ np.ascontiguousarray(_mT(g)), k_r, (weights, last_rel, capped)
+    return x, g @ np.ascontiguousarray(_mT(g)), k_r, fixed_point
 
 
 def _filter_step(model, kernel, x, p, y, iters):

@@ -26,11 +26,12 @@ class StateSpaceModel:
     ``F`` is the n x n state transition matrix, ``H`` the m x n observation
     matrix, ``Q`` the process-noise covariance and ``R`` the measurement-noise
     covariance.  Construction copies the arrays, checks the invariants below
-    once, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing ``B_r``,
-    ``B_r_inv`` and the whitened ``H_w = B_r_inv H`` for every filter step,
-    with ``F_T``, a C-contiguous copy of ``F'`` for the stacked predict.  All
-    eight arrays are read-only, so neither the checks nor the factor can go
-    stale.
+    once, keeps the symmetrized ``Q`` and ``R`` it checked, so every engine
+    uses one ``R``, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing
+    ``B_r``, ``B_r_inv`` and the whitened ``H_w = B_r_inv H`` for every filter
+    step, with ``F_T``, a C-contiguous copy of ``F'`` for the stacked predict.
+    All eight arrays are read-only, so neither the checks nor the factor can
+    go stale.
 
     Raises
     ------
@@ -72,15 +73,15 @@ class StateSpaceModel:
             raise DimensionMismatch(f"Q must be {n} x {n}, got {Q.shape}")
         if R.shape != (m, m):
             raise DimensionMismatch(f"R must be {m} x {m}, got {R.shape}")
-        Q = require_symmetric(Q, "StateSpaceModel.Q")
+        Q, R = require_symmetric(Q, "StateSpaceModel.Q"), require_symmetric(R, "StateSpaceModel.R")
         try:
-            b_r = cholesky_lower(require_symmetric(R, "StateSpaceModel.R"))
+            b_r = cholesky_lower(R)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
         b_r_inv = solve_stack(b_r, np.eye(m))
-        derived = (("B_r", b_r), ("B_r_inv", b_r_inv), ("F_T", F.T.copy()), ("H_w", b_r_inv @ H))
-        for name, arr in derived:
+        derived = dict(Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, F_T=F.T.copy(), H_w=b_r_inv @ H)
+        for name, arr in derived.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -132,8 +133,7 @@ class GaussianBelief:
         copy of ``G'``, exactly symmetric because elements ``(i, j)`` and ``(j,
         i)`` sum the same products in the same order; for a finite n x k ``G``
         its rounded value has ``lambda_min >= -~n k u max|cov|``, ``u`` the unit
-        round-off: far inside ``PSD_RTOL``, so `_require_psd` could never fire.
-        `kf_update`, whose Joseph sum is no Gram product, calls it itself."""
+        round-off: far inside ``PSD_RTOL``, so `_require_psd` could never fire."""
         require_finite(mean, "GaussianBelief.mean")
         require_finite(cov, "GaussianBelief.cov")
         belief = object.__new__(cls)

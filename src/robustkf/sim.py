@@ -34,9 +34,10 @@ Riccati recursion, which reads no measurements, from the same ``p0`` in
 every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
 The independent ``reference`` step advances one run at a time through
 `kf_predict`, a gain (the KF's textbook ``P H' (H P H' + R)^-1``, the
-MCKF's from `fixed_point_iterate` on `build_regression`) and a Joseph
-update of its own.  The loop marks a run whose numbers overflow failed; it
-does not stop the experiment.
+MCKF's from `fixed_point_iterate` on `build_regression`) and the Joseph
+covariance of that gain, which it writes in its own code as a Gram product,
+as the batched step does.  The loop marks a run whose numbers overflow
+failed; it does not stop the experiment.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .model import (
     mixture_moments,
     sample_mixture_sequence,
 )
-from .numerics import solve_spd
+from .numerics import cholesky_stack, solve_spd
 from .rng import RandomStream, substream_seed
 
 NOISE_CASES = ("gaussian", "impulsive-measurement", "impulsive-both", "none")
@@ -365,11 +366,12 @@ class ExperimentResult:
     covariances: np.ndarray | None = None
 
 
-def _joseph(model, p, gain):
-    """Joseph-form covariance ``(I - K H) P (I - K H)' + K R K'``, symmetrized."""
-    ikh = np.eye(model.n) - gain @ model.H
-    cov = ikh @ p @ ikh.T + gain @ model.R @ gain.T
-    return (cov + cov.T) / 2.0
+def _joseph(model, b_p, gain):
+    """Joseph-form covariance ``(I - K H) P (I - K H)' + K R K'`` of ``P = B_p B_p'``,
+    written as the Gram product ``G G'`` of ``G = [(I - K H) B_p | K B_r]``:
+    exactly symmetric and PSD by construction."""
+    g = np.hstack([(np.eye(model.n) - gain @ model.H) @ b_p, gain @ model.B_r])
+    return g @ g.T
 
 
 def _reference_step(model, kernel, x, p, y, iters):
@@ -378,9 +380,10 @@ def _reference_step(model, kernel, x, p, y, iters):
     Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``, a
     gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph`.
     The KF's gain is the textbook ``P H' (H P H' + R)^-1`` of the predicted
-    covariance; the MCKF's is the final gain of `fixed_point_iterate` on
-    `build_regression`.  A run that raises a `RobustKFError` (a failed run's
-    NaN estimate does) is NaN after the step, so it stays failed.
+    covariance, its ``B_p`` that covariance's `cholesky_stack` factor; the
+    MCKF's are the final gain of `fixed_point_iterate` on `build_regression`
+    and that regression's ``B_p``.  A run that raises a `RobustKFError` (a
+    failed run's NaN estimate does) is NaN after the step, so it stays failed.
     ``capped`` lists the runs that hit the cap.
     """
     x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
@@ -391,14 +394,16 @@ def _reference_step(model, kernel, x, p, y, iters):
             if kernel is None:
                 hp = model.H @ prior.cov
                 gain = solve_spd(hp @ model.H.T + model.R, hp).T
+                b_p = cholesky_stack(prior.cov)
             else:
                 reg = build_regression(model, prior, y[run])
                 _, gain, report = fixed_point_iterate(reg, kernel)
+                b_p = reg.B_p
                 iters[run] = report.iterations
                 if not report.converged:
                     capped.append(run)
             x_new[run] = prior.mean + gain @ (y[run] - model.H @ prior.mean)
-            p_new[run] = _joseph(model, prior.cov, gain)
+            p_new[run] = _joseph(model, b_p, gain)
         except RobustKFError:
             x_new[run] = np.nan
     return x_new, p_new, capped

@@ -11,7 +11,6 @@ from robustkf import (
     make_example1,
     min_eigenvalue_symmetric,
 )
-import robustkf.kf
 from conftest import random_model, random_spd
 
 
@@ -73,21 +72,6 @@ class TestUpdate:
             p = post.cov
             assert np.array_equal(p, p.T)
             assert min_eigenvalue_symmetric(p) >= -1e-10 * float(np.max(np.abs(p)))
-
-    def test_posterior_covariance_goes_through_the_psd_test(self, rng, monkeypatch):
-        # The Joseph sum is no Gram product, so kf_update checks its eigenvalues.
-        checked = []
-        require_psd = robustkf.kf._require_psd
-
-        def recording(cov, name):
-            checked.append(cov)
-            require_psd(cov, name)
-
-        monkeypatch.setattr(robustkf.kf, "_require_psd", recording)
-        model = random_model(rng, 3, 2)
-        prior = GaussianBelief(rng.standard_normal(3), random_spd(rng, 3))
-        posterior, _ = kf_update(model, prior, rng.standard_normal(2))
-        assert len(checked) == 1 and checked[0] is posterior.cov
 
     def test_joseph_form_equals_short_form_at_optimal_gain(self, rng):
         for _ in range(25):

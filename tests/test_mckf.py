@@ -40,7 +40,6 @@ from robustkf.mckf import (
     WEIGHT_FLOOR,
     _filter_step,
     _filter_update,
-    _gain,
     _whitened_system,
     weighted_qr_map,
 )
@@ -514,7 +513,7 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
         model, kernel, x_pred[None], (b_p @ b_p.T)[None], y[None], np.zeros(1, np.int32)
     )[2:]
     p_w, r_w = reweighted(fixed_point[0][0])
-    want = _gain(H, p_w, r_w)
+    want = np.linalg.solve(H @ p_w @ H.T + r_w, H @ p_w).T
     slack = 10.0 * np.linalg.cond(H @ p_w @ H.T + r_w) * eps
     gain = k_r[0] @ b_r_inv  # the MCKF's gain is K_r, in whitened measurement coordinates
     np.testing.assert_allclose(gain, want, rtol=1e-10, atol=slack * np.abs(want).max())
@@ -533,5 +532,5 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
         assert (int(iters[0]), capped.size == 0) == (report.iterations, report.converged)
     scale = max(1.0, np.abs(x_ref).max(), np.abs(y).max())
     np.testing.assert_allclose(x[0], x_ref, rtol=0.0, atol=1e-9 + slack * scale)
-    p_ref = _joseph(model, prior.cov, gain_ref)
+    p_ref = _joseph(model, reg.B_p, gain_ref)
     np.testing.assert_allclose(p[0], p_ref, rtol=1e-9, atol=(1e-12 + slack) * np.abs(p_ref).max())

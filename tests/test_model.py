@@ -65,6 +65,16 @@ class TestValidateModel:
         assert np.all(np.triu(model.B_r, 1) == 0.0)
         np.testing.assert_array_equal(model.H_w, model.B_r_inv @ model.H)
 
+    def test_stores_the_symmetrized_covariances(self):
+        # Asymmetric by 1e-12, inside the symmetry tolerance: the stored R is the
+        # one B_r factors, so every engine filters with the same R.
+        Q = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
+        R = np.array([[2.0, 1e-12], [0.0, 1.0]])
+        model = StateSpaceModel(F=np.eye(2), H=np.eye(2), Q=Q, R=R)
+        np.testing.assert_array_equal(model.Q, (Q + Q.T) / 2.0)
+        np.testing.assert_array_equal(model.R, (R + R.T) / 2.0)
+        np.testing.assert_allclose(model.B_r @ model.B_r.T, model.R, rtol=0.0, atol=1e-15)
+
     def test_arrays_are_read_only_copies(self):
         R = np.array([[1.0]])
         model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=R)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -512,13 +513,13 @@ class TestBatchedEngine:
 
     def test_kf_gain_is_formed_once_per_step(self, monkeypatch):
         widths = []
-        gain = robustkf.mckf._gain
+        whitened_system = robustkf.mckf._whitened_system
 
-        def counting_gain(H, p, r):
-            widths.append(p.shape[0])
-            return gain(H, p, r)
+        def counting_system(a_t, w_inv):
+            widths.append(len(a_t))
+            return whitened_system(a_t, w_inv)
 
-        monkeypatch.setattr(robustkf.mckf, "_gain", counting_gain)
+        monkeypatch.setattr(robustkf.mckf, "_whitened_system", counting_system)
         config = small_config(runs=5, filters=(FilterSpec("kf"),))
         run_monte_carlo(config)
         assert widths == [1] * config.steps
@@ -535,7 +536,8 @@ class TestBatchedEngine:
         assert sum(rows) == result.iterations[1].sum()
 
     def test_whitened_system_formed_once_per_iteration(self, monkeypatch):
-        # The final gain solves with the last trip's S_w; it forms none of its own.
+        # The final gain solves with the last trip's S_w; it forms none of its
+        # own.  The KF forms one S_w per step on its shared track.
         rows = []
         whitened_system = robustkf.mckf._whitened_system
 
@@ -544,8 +546,9 @@ class TestBatchedEngine:
             return whitened_system(a_t, w_inv)
 
         monkeypatch.setattr(robustkf.mckf, "_whitened_system", counting_system)
-        result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
-        assert sum(rows) == result.iterations[1].sum()
+        config = small_config(**ENGINE_CASES["impulsive-both"])
+        result = run_monte_carlo(config)
+        assert sum(rows) == result.iterations[1].sum() + config.steps
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -581,6 +584,39 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
         assert np.max(np.abs(mckf - kf)) <= 1e-11 * (1.0 + np.max(np.abs(kf)))
 
 
+def test_engines_fail_the_same_runs_on_an_unstable_model():
+    # F at spectral radius 5 and a filter Q of 0: the covariances span many
+    # orders of magnitude.  A Joseph sum that is no Gram product fails the
+    # next belief's eigenvalue test here (in 3 of the 4 MCKF runs), where a
+    # Gram product does not, so both engines must write one.
+    rng = np.random.default_rng(1023)
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, n + 1))
+    f = rng.standard_normal((n, n))
+    f = 5.0 * f / np.max(np.abs(np.linalg.eigvals(f)))
+    h = rng.standard_normal((m, n))
+    q, r = random_spd(rng, n, 0.05), random_spd(rng, m, 0.1)
+    kernel = KernelConfig(
+        sigma=10.0 ** rng.uniform(-3, 8), epsilon=1e-6, max_iterations=int(rng.integers(1, 6))
+    )
+    config = ExperimentConfig(
+        example="custom",
+        custom_model=StateSpaceModel(F=f, H=h, Q=q, R=r),
+        true_x0=tuple(rng.standard_normal(n)),
+        noise_case="impulsive-both",
+        runs=4,
+        steps=60,
+        filters=(FilterSpec("kf"), FilterSpec("mckf", kernel)),
+        master_seed=23,
+        assumed_q=np.zeros((n, n)),
+        assumed_r=r,
+    )
+    fast = run_monte_carlo(config, engine="batched")
+    slow = run_monte_carlo(config, engine="reference")
+    np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
+    np.testing.assert_array_equal(fast.iterations, slow.iterations)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -590,11 +626,11 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
 def test_mckf_covariances_are_exactly_symmetric_on_random_models(seed, dims, sigma):
     # The Gram product G G' is a general matrix product, symmetric because each
     # element pair sums the same products in the same order; ENGINE_CASES build
-    # only a few of the shapes (n, n + m) that this rests on.
+    # only a few of the shapes (n, n + m) that this rests on.  The KF
+    # (kernel None) writes its covariance by the same product.
     rng = np.random.default_rng(seed)
     model = random_model(rng, *dims)
-    kernel = KernelConfig(sigma=sigma, epsilon=1e-6)
-    for width in (1, 64):
+    for kernel, width in itertools.product((KernelConfig(sigma=sigma, epsilon=1e-6), None), (1, 64)):
         x = rng.standard_normal((width, model.n))
         p = np.stack([random_spd(rng, model.n, 0.5) for _ in range(width)])
         y = rng.standard_normal((width, model.m)) * 10.0 ** rng.integers(0, 3, (width, 1))
