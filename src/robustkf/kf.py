@@ -37,8 +37,8 @@ def kf_update(
 
     Runs the KF case of the batched Monte Carlo engine's update,
     `_filter_update`, on one run: the MCKF's whitened update at unit kernel
-    weights.  Its gain is the textbook ``P H' (H P H' + R)^-1``, solved in
-    whitened measurement coordinates (no explicit inverse); its covariance is
+    weights.  Its gain is the textbook ``P H' (H P H' + R)^-1``, taken one
+    whitened measurement at a time, with no m x m solve; its covariance is
     the Joseph form ``(I - K H) P (I - K H)' + K R K'``, which stays PSD
     under perturbed gains, written as a Gram product, so it is exactly
     symmetric and PSD by construction.  The inputs are checked once: the

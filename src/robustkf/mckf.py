@@ -31,11 +31,11 @@ filters' one measurement update (`_filter_update`) rests on that: it runs the
 gain form over a stack of runs (`_filter_step`), which `mckf_step` runs for
 one run and the batched Monte Carlo engine for all runs at once, and the KF
 (`robustkf.kf.kf_update`, the engine's KF) is its unit-weight case.  It
-iterates in whitened measurement coordinates on the augmented design ``[A_w
-| I]``, whose ``n + m`` columns give the stacked regression's residuals as
-one array, forms its final gain there, ``K_r = K B_r``, from the last
-innovation matrix (`_whitened_system`), and writes the Joseph covariance of
-that gain as an exactly symmetric Gram product.  The one-regression
+iterates in whitened measurement coordinates, where the reweighted
+measurement covariance is diagonal, so each trip takes the measurements one
+at a time (`_whitened_update`, Potter's square-root form) and solves no m x m
+system; it takes ``K_r = K B_r`` from the last trip and writes the Joseph
+covariance of that gain as an exactly symmetric Gram product.  The one-regression
 functions here (`build_regression`, `fixed_point_iterate`, ...) are the
 reference engine's independent implementation, and the direct form a
 cross-check of both.
@@ -55,7 +55,7 @@ from .errors import (
     SingularDesign,
 )
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_stack, require_finite, solve_spd, solve_stack
+from .numerics import cholesky_stack, require_finite, solve_spd
 
 #: Lower clamp on kernel weights (`kernel_weights`) before they are inverted.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
@@ -322,31 +322,57 @@ def _mT(a):
     return a.swapaxes(-1, -2)
 
 
-def _whitened_system(a_t, w_inv):
-    """``S_w = A_t diag(w_inv) A_t'`` of each run, with ``A_t = [A_w | I]`` and
-    ``w_inv = [wx, wy]``: that is ``A_w diag(wx) A_w' + diag(wy)``."""
-    return (a_t * w_inv[:, None, :]) @ _mT(a_t)
+def _whitened_update(a_w, nu_w, w_inv):
+    """Whitened update of each run at weights ``w_inv = [w_x, w_y]``: ``(u, K_u)``.
+
+    ``u = K_u nu_w`` minimizes ``u' diag(w_x)^-1 u + r' diag(w_y)^-1 r``, ``r =
+    nu_w - A_w u``.  As ``diag(w_y)`` is diagonal, the measurements are taken
+    one at a time by Potter's square-root update, with no m x m system: from
+    ``u = 0`` and ``B_u = diag(sqrt(w_x))``, measurement ``i`` takes ``f = B_u'
+    a_i``, ``alpha = f'f + w_y_i >= 1``, ``k = B_u f / alpha``, ``u += k (nu_i -
+    a_i' u)`` and, if another follows, ``B_u -= gamma k f'`` with ``gamma = 1 /
+    (1 + sqrt(w_y_i / alpha))``.  The first, against the diagonal start, is
+    ``k = w_x a / (a' (w_x a) + w_y)``.  ``nu_w`` may have more rows than a
+    one-run ``a_w`` (the KF's shared track).
+    """
+    m, n = a_w.shape[1:]
+    w_x, w_y = w_inv[:, :n], w_inv[:, n:]
+    a = a_w[:, 0]
+    g = w_x * a
+    alpha = np.einsum("ri,ri->r", a, g) + w_y[:, 0]
+    k = g / alpha[:, None]
+    u, k_u = k * nu_w[:, :1], k[..., None]
+    if m > 1:
+        root = np.sqrt(w_x)
+        b_u, f = root[:, None, :] * np.eye(n), root * a
+    for i in range(1, m):
+        gamma = 1.0 / (1.0 + np.sqrt(w_y[:, i - 1] / alpha))
+        b_u -= (gamma[:, None] * k)[..., None] * f[:, None]
+        a = a_w[:, i]
+        f = np.einsum("rji,rj->ri", b_u, a)
+        alpha = np.einsum("ri,ri->r", f, f) + w_y[:, i]
+        k = np.einsum("rij,rj->ri", b_u, f) / alpha[:, None]
+        u += k * (nu_w[:, i] - np.einsum("...j,...j->...", a, u))[..., None]
+        k_u = np.dstack([k_u - k[..., None] * np.einsum("rj,rjl->rl", a, k_u)[:, None], k])
+    return u, k_u
 
 
-def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
+def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     """Fixed-point solve of the correntropy update of every run of a stack.
 
     Iterates, in whitened measurement coordinates, ``u = B_p^-1 (x -
-    x_pred)`` on the augmented design ``A_t = [A_w | I]``, with ``A_w =
-    B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``: the residuals at ``u``
-    are the one array ``e = [u ; nu_w - A_w u]`` of length ``n + m`` (the
-    kernel squares them, so the sign of ``u`` is immaterial).  With the
-    floored kernel weights ``c = kernel_weights(e, sigma)`` and ``w_inv = 1 /
-    c``, the next residuals are ``e = w_inv * (A_t' z)``, where ``S_w z =
-    nu_w`` (`_whitened_system`): their state block is the next ``u``, and
-    ``x = x_pred + B_p u`` the iterate of `fixed_point_iterate`.  Each trip
-    works on the rows of the runs still iterating, compacted with ``take``.
-    A run leaves when its relative step is at most ``epsilon`` or NaN, or at
-    the cap; only then are its iterate, weights, ``S_w``, last relative step
-    and count written.
+    x_pred)`` against ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1
+    innovation``: the residuals at ``u`` are the one array ``e = [u ; nu_w -
+    A_w u]`` of length ``n + m``.  With the floored kernel weights ``c =
+    kernel_weights(e, sigma)``, the next ``u`` is `_whitened_update`'s at
+    ``w_inv = 1 / c``, and ``x = x_pred + B_p u`` the iterate of
+    `fixed_point_iterate`.  Each trip works on the rows of the runs still
+    iterating, compacted with ``take``.  A run leaves when its relative step
+    is at most ``epsilon`` or NaN, or at the cap; only then are its iterate,
+    weights, gain ``K_u``, last relative step and count written.
 
     ``iters`` gains each run's iteration count.  Returns the final iterates
-    ``x``, the weights ``c``, the ``S_w`` formed from them and the relative
+    ``x``, the weights ``c``, the ``K_u`` formed from them and the relative
     step of each run's last iteration, and the indices of the runs that hit
     the cap (not those that converge on the last permitted trip).
     """
@@ -355,16 +381,14 @@ def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
     def norm(v):  # the 2-norm of each row
         return np.sqrt(np.einsum("ri,ri->r", v, v))
 
-    x, weights = np.empty_like(x_pred), np.empty((runs, a_t.shape[2]))
-    s_w, last_rel, active = np.empty((runs, m, m)), np.empty(runs), np.arange(runs)
+    x, weights = np.empty_like(x_pred), np.empty((runs, n + m))
+    k_u, last_rel, active = np.empty((runs, n, m)), np.empty(runs), np.arange(runs)
     e, x_old = np.concatenate([np.zeros((runs, n)), nu_w], axis=1), x_pred
     for t in range(1, kernel.max_iterations + 1):
         c = kernel_weights(e, kernel.sigma)
-        w_inv = 1.0 / c
-        s = _whitened_system(a_t, w_inv)
-        z = solve_stack(s, nu_w[..., None])[..., 0]
-        e = w_inv * np.einsum("rji,rj->ri", a_t, z)
-        x_new = x_pred + np.einsum("rij,rj->ri", b_p, e[:, :n])
+        u, k = _whitened_update(a_w, nu_w, 1.0 / c)
+        e = np.concatenate([u, nu_w - np.einsum("rij,rj->ri", a_w, u)], axis=1)
+        x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
         den = norm(x_old)
         np.putmask(den, den < _STEP_NORM_GUARD, 1.0)
         rel = norm(x_new - x_old) / den
@@ -376,62 +400,55 @@ def _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters):
             (out,), (keep,) = (~going).nonzero(), going.nonzero()
             leave = active.take(out)
             x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
-            s_w[leave], last_rel[leave] = s.take(out, axis=0), rel.take(out)
+            k_u[leave], last_rel[leave] = k.take(out, axis=0), rel.take(out)
             iters[leave] += t
-            active, a_t, b_p, x_pred, nu_w, e, x_new = (
-                v.take(keep, axis=0) for v in (active, a_t, b_p, x_pred, nu_w, e, x_new)
+            active, a_w, b_p, x_pred, nu_w, e, x_new = (
+                v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, e, x_new)
             )
         x_old = x_new
-    x[active], weights[active], s_w[active], last_rel[active] = x_new, c, s, rel
+    x[active], weights[active], k_u[active], last_rel[active] = x_new, c, k, rel
     iters[active] += t
-    return x, weights, s_w, last_rel, active[going]
+    return x, weights, k_u, last_rel, active[going]
 
 
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
     Both filters whiten the measurement once (``B_p = chol(P_pred)``, the
-    model's ``H_w = B_r^-1 H`` and ``B_r^-1``) and build the augmented design
-    ``A_t = [A_w | I]``, ``A_w = H_w B_p``, and ``nu_w = B_r^-1 innovation``.
-    The MCKF runs `_fixed_point` on them; the KF is its unit-weight case,
-    ``S_w = _whitened_system(A_t, 1)`` and ``x = x_pred + K_r nu_w``, and its
-    ``P`` may be one ``(1, n, n)`` covariance shared by all runs.  From the
-    last weights and ``S_w``, both form the gain ``K_r = B_p diag(wx) A_w'
-    S_w^-1``, whose ``K_r B_r^-1`` is the textbook gain (the KF's) or
-    `fixed_point_iterate`'s ``K``.  As ``(I - K H) B_p = B_p - K_r A_w`` and
-    ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``, ``G = K_r
-    A_t`` with ``B_p`` minus its first ``n`` columns written in place, that is
-    ``[B_p - K_r A_w | K_r]``: PSD by construction.  ``G G'`` is a general
-    matrix product against a contiguous copy of ``G'`` (``G @ G'`` on one
-    buffer is a symmetric rank-k update, twice as slow per run at 100 runs and
-    more), exactly symmetric as elements ``(i, j)`` and ``(j, i)`` sum the
-    same products in the same order.  Every product is per run, never one
-    BLAS product over all runs, so no run's numbers depend on the stack:
-    mat-vecs use ``einsum`` (one pass, where stacked ``@`` makes a BLAS call
-    per run) and matrix products stacked ``@``, not always the faster: for
-    ``H_w @ B_p`` (n = 2, m = 1) it takes 1.9 µs against ``einsum``'s 4.0 at 1
-    run, but 9.7 against 8.8 at 100 and 130 against 47 at 4000.
+    model's ``H_w = B_r^-1 H`` and ``B_r^-1``): ``A_w = H_w B_p`` and ``nu_w =
+    B_r^-1 innovation``.  The MCKF runs `_fixed_point` on them; the KF is its
+    unit-weight case (one `_whitened_update` at ``w_inv = 1``), and its ``P``
+    may be one ``(1, n, n)`` covariance shared by all runs.  Both take ``x =
+    x_pred + B_p u`` and ``K_r = B_p K_u`` of the last weights, whose ``K_r
+    B_r^-1`` is the textbook gain (the KF's) or `fixed_point_iterate`'s
+    ``K``.  As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``,
+    the Joseph covariance is ``P = G G'``, ``G = [B_p - K_r A_w | K_r]``: PSD
+    by construction.  ``G G'`` is a general matrix product against a
+    contiguous copy of ``G'`` (``G @ G'`` on one buffer is a symmetric rank-k
+    update, twice as slow per run at 100 runs and more), exactly symmetric as
+    elements ``(i, j)`` and ``(j, i)`` sum the same products in the same
+    order.  Every product is per run, never one BLAS product over all runs, so
+    no run's numbers depend on the stack: mat-vecs use ``einsum`` (one pass,
+    where stacked ``@`` makes a BLAS call per run) and matrix products stacked
+    ``@``, not always the faster: for ``H_w @ B_p`` (n = 2, m = 1) it takes
+    1.9 µs against ``einsum``'s 4.0 at 1 run, but 9.7 against 8.8 at 100 and
+    130 against 47 at 4000.
     Returns ``(x, P, K_r, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
     ``(weights, last_rel, capped)``, or ``None`` for the KF.
     """
     (runs, n), m = p_pred.shape[:2], model.m
     innovation = y - np.einsum("ij,rj->ri", model.H, x_pred)
     b_p = cholesky_stack((p_pred + _mT(p_pred)) / 2.0)
-    a_t = np.empty((runs, m, n + m))
-    a_w = np.matmul(model.H_w, b_p, out=a_t[..., :n])
-    a_t[..., n:] = np.eye(m)
+    a_w = model.H_w @ b_p
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
     if kernel is None:
-        weights, fixed_point = np.ones((runs, n + m)), None
-        s_w = _whitened_system(a_t, weights)
+        u, k_u = _whitened_update(a_w, nu_w, np.ones((runs, n + m)))
+        x, fixed_point = x_pred + np.einsum("...ij,...j->...i", b_p, u), None
     else:
-        x, weights, s_w, last_rel, capped = _fixed_point(kernel, a_t, b_p, x_pred, nu_w, iters)
+        x, weights, k_u, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
         fixed_point = (weights, last_rel, capped)
-    k_r = (b_p * (1.0 / weights[:, None, :n])) @ _mT(solve_stack(s_w, a_w))
-    if kernel is None:
-        x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
-    g = k_r @ a_t
-    np.subtract(b_p, g[..., :n], out=g[..., :n])
+    k_r = b_p @ k_u
+    g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
     return x, g @ np.ascontiguousarray(_mT(g)), k_r, fixed_point
 
 

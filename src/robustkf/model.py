@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numerics import _require_psd, cholesky_lower, require_finite, require_symmetric, solve_stack
+from .numerics import _require_psd, cholesky_lower, require_finite, require_symmetric
 from .rng import RandomStream
 
 
@@ -79,7 +79,7 @@ class StateSpaceModel:
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
-        b_r_inv = solve_stack(b_r, np.eye(m))
+        b_r_inv = np.linalg.inv(b_r)
         derived = dict(Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, F_T=F.T.copy(), H_w=b_r_inv @ H)
         for name, arr in derived.items():
             arr.flags.writeable = False

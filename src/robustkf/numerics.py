@@ -9,8 +9,8 @@ Covariance recursions are symmetric and semidefinite only up to round-off: a
 symmetric input is checked against `SYMMETRY_RTOL` and used as ``(A + A.T) / 2``,
 and `PSD_RTOL` alone says what is semidefinite.  No matrix is perturbed.
 
-NumPy is the only numerical dependency: factorizations and solves here and
-throughout the package are ``numpy.linalg`` calls.
+NumPy is the only numerical dependency: factorizations and solves are
+``numpy.linalg`` calls, and the filters' update divides only by scalars >= 1.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
                     rest[j:] -= np.outer(col, unit)
             lower[i] *= np.sqrt(scale)
     return lower.reshape(a.shape)
-
-
-def solve_stack(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the stacked systems ``s @ z = b``; a 1 x 1 system is a division."""
-    if s.shape[-1] == 1:
-        return b / s
-    return np.linalg.solve(s, b)
 
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:

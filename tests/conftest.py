@@ -46,6 +46,23 @@ def correntropy_estimate(errors: np.ndarray, sigma: float) -> float:
     return float(np.mean(gaussian_kernel(errors, sigma)))
 
 
+def exact_whitened_update(a_w, nu_w, c):
+    """The exact ``u`` of one whitened update at kernel weights ``c``.
+
+    Solves the normal equations ``(C_x + A_w' C_y A_w) u = A_w' C_y nu_w`` of
+    ``min ||C_x^½ u||² + ||C_y^½ (nu_w - A_w u)||²``, ``diag(c) = [C_x, C_y]``
+    state block first, by ``mpmath.lu_solve`` at 50 digits.  ``a_w`` and
+    ``nu_w`` may be arrays or ``mpmath`` matrices; returns an ``mpmath``
+    column, which callers compare under ``mpmath.workdps(50)``.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        a_w, nu_w = mpmath.matrix(a_w), mpmath.matrix(nu_w)
+        c_x, c_y = mpmath.diag(c[: a_w.cols]), mpmath.diag(c[a_w.cols:])
+        return mpmath.lu_solve(c_x + a_w.T * c_y * a_w, a_w.T * c_y * nu_w)
+
+
 def random_spd(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((k, k))
     return scale * (a @ a.T / k + 0.2 * np.eye(k))

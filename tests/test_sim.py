@@ -319,7 +319,7 @@ ENGINE_CASES = {
         runs=10,
         filters=(FilterSpec("mckf", KernelConfig(sigma=0.5, epsilon=1e-12, max_iterations=2)),),
     ),
-    # m = 2: the innovation systems are solved, not divided.
+    # m = 2: each update takes its second measurement against a downdated factor.
     "two-measurements": dict(
         example="custom",
         custom_model=StateSpaceModel(
@@ -479,7 +479,7 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_step_writes_into_none_of_its_inputs(self, case):
-        # The step writes in place (the Gram factor, the diagonals of S_w),
+        # The step writes in place (the update's estimate and factor),
         # always into arrays of its own.
         config = small_config(**ENGINE_CASES[case])
         model, fmodel = config.resolve_model(), config.filter_model()
@@ -513,13 +513,13 @@ class TestBatchedEngine:
 
     def test_kf_gain_is_formed_once_per_step(self, monkeypatch):
         widths = []
-        whitened_system = robustkf.mckf._whitened_system
+        whitened_update = robustkf.mckf._whitened_update
 
-        def counting_system(a_t, w_inv):
-            widths.append(len(a_t))
-            return whitened_system(a_t, w_inv)
+        def counting_update(a_w, nu_w, w_inv):
+            widths.append(len(a_w))
+            return whitened_update(a_w, nu_w, w_inv)
 
-        monkeypatch.setattr(robustkf.mckf, "_whitened_system", counting_system)
+        monkeypatch.setattr(robustkf.mckf, "_whitened_update", counting_update)
         config = small_config(runs=5, filters=(FilterSpec("kf"),))
         run_monte_carlo(config)
         assert widths == [1] * config.steps
@@ -535,17 +535,17 @@ class TestBatchedEngine:
         result = run_monte_carlo(small_config(**ENGINE_CASES["impulsive-both"]))
         assert sum(rows) == result.iterations[1].sum()
 
-    def test_whitened_system_formed_once_per_iteration(self, monkeypatch):
-        # The final gain solves with the last trip's S_w; it forms none of its
-        # own.  The KF forms one S_w per step on its shared track.
+    def test_whitened_update_runs_once_per_iteration(self, monkeypatch):
+        # The final gain is B_p K_u of the last trip's update; it runs none of
+        # its own.  The KF runs one update per step on its shared track.
         rows = []
-        whitened_system = robustkf.mckf._whitened_system
+        whitened_update = robustkf.mckf._whitened_update
 
-        def counting_system(a_t, w_inv):
-            rows.append(len(a_t))
-            return whitened_system(a_t, w_inv)
+        def counting_update(a_w, nu_w, w_inv):
+            rows.append(len(a_w))
+            return whitened_update(a_w, nu_w, w_inv)
 
-        monkeypatch.setattr(robustkf.mckf, "_whitened_system", counting_system)
+        monkeypatch.setattr(robustkf.mckf, "_whitened_update", counting_update)
         config = small_config(**ENGINE_CASES["impulsive-both"])
         result = run_monte_carlo(config)
         assert sum(rows) == result.iterations[1].sum() + config.steps
@@ -584,33 +584,60 @@ def test_kf_engines_agree_on_random_models(seed, dims, zero_q, p0_scale):
         assert np.max(np.abs(mckf - kf)) <= 1e-11 * (1.0 + np.max(np.abs(kf)))
 
 
-def test_engines_fail_the_same_runs_on_an_unstable_model():
-    # F at spectral radius 5 and a filter Q of 0: the covariances span many
-    # orders of magnitude.  A Joseph sum that is no Gram product fails the
-    # next belief's eigenvalue test here (in 3 of the 4 MCKF runs), where a
-    # Gram product does not, so both engines must write one.
-    rng = np.random.default_rng(1023)
+def _sweep_draw(draw, *specs):
+    """Config of one draw of the MCKF property sweep, and its drawn kernel.
+
+    numpy seed 1000 + draw; n, m, F, H, Q, R, sigma, cap and true_x0 drawn in
+    that order; F at spectral radius (0.95, 1.2, 2, 5)[draw % 4]; noise case
+    (gaussian, impulsive-measurement, impulsive-both)[draw % 3]; a filter Q of
+    0 in odd draws; master seed = draw; 4 runs x 60 steps.  The filters are
+    ``specs`` followed by an MCKF with the drawn kernel and epsilon 1e-6.
+    """
+    rng = np.random.default_rng(1000 + draw)
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, n + 1))
     f = rng.standard_normal((n, n))
-    f = 5.0 * f / np.max(np.abs(np.linalg.eigvals(f)))
+    f = (0.95, 1.2, 2.0, 5.0)[draw % 4] * f / np.max(np.abs(np.linalg.eigvals(f)))
     h = rng.standard_normal((m, n))
     q, r = random_spd(rng, n, 0.05), random_spd(rng, m, 0.1)
     kernel = KernelConfig(
         sigma=10.0 ** rng.uniform(-3, 8), epsilon=1e-6, max_iterations=int(rng.integers(1, 6))
     )
-    config = ExperimentConfig(
+    return ExperimentConfig(
         example="custom",
         custom_model=StateSpaceModel(F=f, H=h, Q=q, R=r),
         true_x0=tuple(rng.standard_normal(n)),
-        noise_case="impulsive-both",
+        noise_case=("gaussian", "impulsive-measurement", "impulsive-both")[draw % 3],
         runs=4,
         steps=60,
-        filters=(FilterSpec("kf"), FilterSpec("mckf", kernel)),
-        master_seed=23,
-        assumed_q=np.zeros((n, n)),
+        filters=(*specs, FilterSpec("mckf", kernel)),
+        master_seed=draw,
+        assumed_q=np.zeros((n, n)) if draw % 2 else q,
         assumed_r=r,
     )
+
+
+def test_engines_fail_the_same_runs_on_an_unstable_model():
+    # F at spectral radius 5 and a filter Q of 0: the covariances span many
+    # orders of magnitude.  A Joseph sum that is no Gram product fails the
+    # next belief's eigenvalue test here (in 3 of the 4 MCKF runs), where a
+    # Gram product does not, so both engines must write one.
+    config = _sweep_draw(23, FilterSpec("kf"))
+    fast = run_monte_carlo(config, engine="batched")
+    slow = run_monte_carlo(config, engine="reference")
+    np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
+    np.testing.assert_array_equal(fast.iterations, slow.iterations)
+
+
+def test_engines_finish_a_draw_with_a_floored_state_weight():
+    # n = m = 2, F at spectral radius 2, gaussian noise and sigma about 0.06:
+    # at step 22 a state weight at the floor (w_x = 1e12) beside a predicted
+    # covariance with eigenvalues 0.375 and 5.5e10 makes an m x m innovation
+    # system A_w diag(w_x) A_w' + diag(w_y) numerically singular.  Taken one
+    # measurement at a time, the update divides only by alpha >= 1.  The
+    # estimates are not compared: on m >= 2 the reference engine's gain form
+    # is the less accurate of the two.
+    config = _sweep_draw(342)
     fast = run_monte_carlo(config, engine="batched")
     slow = run_monte_carlo(config, engine="reference")
     np.testing.assert_array_equal(fast.failed_runs, slow.failed_runs)
