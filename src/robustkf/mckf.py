@@ -27,18 +27,17 @@ Every factorization and solve is a ``numpy.linalg`` call.
 
 With all kernel weights equal to one, the forms collapse to the ordinary
 Kalman update, and that limit is approached as the bandwidth grows.  The
-filters' one measurement update (`_filter_update`) rests on that: it runs the
-gain form over a stack of runs (`_filter_step`), which `mckf_step` runs for
-one run and the batched Monte Carlo engine for all runs at once, and the KF
-(`robustkf.kf.kf_update`, the engine's KF) is its unit-weight case.  It
-iterates in whitened measurement coordinates, where the reweighted
-measurement covariance is diagonal, so each trip takes the measurements one
-at a time (`_whitened_update`, Potter's square-root form) and solves no m x m
-system; it takes ``K_r = K B_r`` from the last trip and writes the Joseph
-covariance of that gain as an exactly symmetric Gram product.  The one-regression
-functions here (`build_regression`, `fixed_point_iterate`, ...) are the
-reference engine's independent implementation, and the direct form a
-cross-check of both.
+filters' one measurement update, `_filter_update`, rests on that: the KF
+(`robustkf.kf.kf_update`, the engine's KF) is its unit-weight case.  It runs
+on a stack of runs, one run for `mckf_step` and all of them for the batched
+Monte Carlo engine (`_filter_step`), in whitened measurement coordinates,
+where the reweighted measurement covariance is diagonal: each trip's gain
+takes the measurements one at a time (`_whitened_update`, Potter's
+square-root form), with no m x m system, and the estimate and the Joseph
+covariance, an exactly symmetric Gram product, are those of the last trip's
+gain.  The one-regression functions here (`build_regression`,
+`fixed_point_iterate`, ...) are the reference engine's independent
+implementation, and the direct form a cross-check of both.
 """
 
 from __future__ import annotations
@@ -81,10 +80,10 @@ class KernelConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise InvalidBandwidth(f"sigma must be > 0, got {self.sigma}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if isinstance(self.sigma, bool) or not self.sigma > 0:
+            raise InvalidBandwidth(f"sigma must be a number > 0, got {self.sigma!r}")
+        if isinstance(self.epsilon, bool) or not self.epsilon > 0:
+            raise ValueError(f"epsilon must be a number > 0, got {self.epsilon!r}")
         cap = self.max_iterations
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
@@ -257,10 +256,29 @@ def fixed_point_map(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np
     return weighted_qr_map(reg, x, sigma)[0]
 
 
-def _relative_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
-    num = float(np.linalg.norm(x_new - x_old))
-    den = float(np.linalg.norm(x_old))
-    return num if den < _STEP_NORM_GUARD else num / den
+def _relative_steps(x_new, x_old):
+    """Each row's ``||x_new - x_old|| / ||x_old||`` (absolute below `_STEP_NORM_GUARD`),
+    the stop rule of every fixed-point form."""
+    d = x_new - x_old
+    den = np.sqrt(np.einsum("...i,...i->...", x_old, x_old))
+    return np.sqrt(np.einsum("...i,...i->...", d, d)) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
+
+
+def _iterate(reg: AugmentedRegression, config: KernelConfig, update):
+    """The one-regression fixed-point loop: ``x, out = update(x_prev)`` from the
+    prior mean until `_relative_steps` is at most ``epsilon`` or the cap; returns
+    ``(x, out, t, rel)`` of the last iteration ``t``.  A non-finite iterate raises
+    `Diverged`."""
+    x_prev = reg.prior_mean
+    for t in range(1, config.max_iterations + 1):
+        x, out = update(x_prev)
+        if not np.all(np.isfinite(x)):
+            raise Diverged(f"fixed-point iterate {t} is not finite")
+        rel = float(_relative_steps(x, x_prev))
+        if rel <= config.epsilon:
+            break
+        x_prev = x
+    return x, out, t, rel
 
 
 def fixed_point_iterate(
@@ -285,18 +303,14 @@ def fixed_point_iterate(
     (x, gain, FixedPointReport)
     """
     innovation = reg.y - reg.H @ reg.prior_mean
-    x_prev = reg.prior_mean
-    for t in range(1, config.max_iterations + 1):
+
+    def update(x_prev):
         c = kernel_weights(compute_residuals(reg, x_prev), config.sigma)
-        gain, _, _ = robust_gain(reg, c)
-        x = reg.prior_mean + gain @ innovation
-        if not np.all(np.isfinite(x)):
-            raise Diverged(f"fixed-point iterate {t} is not finite")
-        rel = _relative_step(x, x_prev)
-        if rel <= config.epsilon:
-            return x, gain, FixedPointReport(t, True, c, rel)
-        x_prev = x
-    return x, gain, FixedPointReport(config.max_iterations, False, c, rel)
+        gain = robust_gain(reg, c)[0]
+        return reg.prior_mean + gain @ innovation, (gain, c)
+
+    x, (gain, c), t, rel = _iterate(reg, config, update)
+    return x, gain, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
 def fixed_point_direct(reg: AugmentedRegression, config: KernelConfig) -> np.ndarray:
@@ -306,15 +320,7 @@ def fixed_point_direct(reg: AugmentedRegression, config: KernelConfig) -> np.nda
     the two forms agree iterate by iterate and serve as cross-checks of each
     other.
     """
-    x_prev = x = reg.prior_mean
-    for _ in range(config.max_iterations):
-        x = fixed_point_map(reg, x_prev, config.sigma)
-        if not np.all(np.isfinite(x)):
-            raise Diverged("fixed-point iterate is not finite")
-        if _relative_step(x, x_prev) <= config.epsilon:
-            return x
-        x_prev = x
-    return x
+    return _iterate(reg, config, lambda x: (fixed_point_map(reg, x, config.sigma), None))[0]
 
 
 def _mT(a):
@@ -322,18 +328,17 @@ def _mT(a):
     return a.swapaxes(-1, -2)
 
 
-def _whitened_update(a_w, nu_w, w_inv):
-    """Whitened update of each run at weights ``w_inv = [w_x, w_y]``: ``(u, K_u)``.
+def _whitened_update(a_w, w_inv):
+    """Gain ``K_u`` of each run's whitened update at weights ``w_inv = [w_x, w_y]``.
 
     ``u = K_u nu_w`` minimizes ``u' diag(w_x)^-1 u + r' diag(w_y)^-1 r``, ``r =
     nu_w - A_w u``.  As ``diag(w_y)`` is diagonal, the measurements are taken
     one at a time by Potter's square-root update, with no m x m system: from
-    ``u = 0`` and ``B_u = diag(sqrt(w_x))``, measurement ``i`` takes ``f = B_u'
-    a_i``, ``alpha = f'f + w_y_i >= 1``, ``k = B_u f / alpha``, ``u += k (nu_i -
-    a_i' u)`` and, if another follows, ``B_u -= gamma k f'`` with ``gamma = 1 /
-    (1 + sqrt(w_y_i / alpha))``.  The first, against the diagonal start, is
-    ``k = w_x a / (a' (w_x a) + w_y)``.  ``nu_w`` may have more rows than a
-    one-run ``a_w`` (the KF's shared track).
+    ``B_u = diag(sqrt(w_x))``, measurement ``i`` takes ``f = B_u' a_i``,
+    ``alpha = f'f + w_y_i >= 1`` and ``k = B_u f / alpha``, appends ``k`` to
+    ``K_u`` after ``K_u -= k a_i' K_u`` and, if another follows, ``B_u -=
+    gamma k f'`` with ``gamma = 1 / (1 + sqrt(w_y_i / alpha))``.  The first,
+    against the diagonal start, is ``k = w_x a / (a' (w_x a) + w_y)``.
     """
     m, n = a_w.shape[1:]
     w_x, w_y = w_inv[:, :n], w_inv[:, n:]
@@ -341,7 +346,7 @@ def _whitened_update(a_w, nu_w, w_inv):
     g = w_x * a
     alpha = np.einsum("ri,ri->r", a, g) + w_y[:, 0]
     k = g / alpha[:, None]
-    u, k_u = k * nu_w[:, :1], k[..., None]
+    k_u = k[..., None]
     if m > 1:
         root = np.sqrt(w_x)
         b_u, f = root[:, None, :] * np.eye(n), root * a
@@ -352,46 +357,37 @@ def _whitened_update(a_w, nu_w, w_inv):
         f = np.einsum("rji,rj->ri", b_u, a)
         alpha = np.einsum("ri,ri->r", f, f) + w_y[:, i]
         k = np.einsum("rij,rj->ri", b_u, f) / alpha[:, None]
-        u += k * (nu_w[:, i] - np.einsum("...j,...j->...", a, u))[..., None]
         k_u = np.dstack([k_u - k[..., None] * np.einsum("rj,rjl->rl", a, k_u)[:, None], k])
-    return u, k_u
+    return k_u
 
 
 def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     """Fixed-point solve of the correntropy update of every run of a stack.
 
-    Iterates, in whitened measurement coordinates, ``u = B_p^-1 (x -
-    x_pred)`` against ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1
-    innovation``: the residuals at ``u`` are the one array ``e = [u ; nu_w -
-    A_w u]`` of length ``n + m``.  With the floored kernel weights ``c =
-    kernel_weights(e, sigma)``, the next ``u`` is `_whitened_update`'s at
-    ``w_inv = 1 / c``, and ``x = x_pred + B_p u`` the iterate of
-    `fixed_point_iterate`.  Each trip works on the rows of the runs still
-    iterating, compacted with ``take``.  A run leaves when its relative step
-    is at most ``epsilon`` or NaN, or at the cap; only then are its iterate,
-    weights, gain ``K_u``, last relative step and count written.
-
-    ``iters`` gains each run's iteration count.  Returns the final iterates
-    ``x``, the weights ``c``, the ``K_u`` formed from them and the relative
-    step of each run's last iteration, and the indices of the runs that hit
-    the cap (not those that converge on the last permitted trip).
+    Iterates ``u = B_p^-1 (x - x_pred)`` in whitened measurement coordinates,
+    against ``A_w = B_r^-1 H B_p`` and ``nu_w = B_r^-1 innovation``, on the
+    residuals ``e = [u ; nu_w - A_w u]``: each trip takes the weights ``c =
+    kernel_weights(e, sigma)``, `_whitened_update`'s ``K_u`` at ``w_inv = 1 /
+    c`` and ``u = K_u nu_w``, and stops a run by `_relative_steps` on ``x =
+    x_pred + B_p u``, the iterates of `fixed_point_iterate`.  The trips work on
+    the runs still iterating, compacted with ``take``; a run leaves when its
+    relative step is at most ``epsilon`` or NaN, or at the cap, and only then
+    are its weights, ``K_u``, relative step and count (added to ``iters``)
+    written.  Returns those ``(weights, K_u, last_rel, capped)``, ``capped``
+    the indices of the runs that hit the cap (not those that converge on the
+    last permitted trip).
     """
     (runs, n), m = x_pred.shape, nu_w.shape[1]
-
-    def norm(v):  # the 2-norm of each row
-        return np.sqrt(np.einsum("ri,ri->r", v, v))
-
-    x, weights = np.empty_like(x_pred), np.empty((runs, n + m))
-    k_u, last_rel, active = np.empty((runs, n, m)), np.empty(runs), np.arange(runs)
+    weights, k_u = np.empty((runs, n + m)), np.empty((runs, n, m))
+    last_rel, active = np.empty(runs), np.arange(runs)
     e, x_old = np.concatenate([np.zeros((runs, n)), nu_w], axis=1), x_pred
     for t in range(1, kernel.max_iterations + 1):
         c = kernel_weights(e, kernel.sigma)
-        u, k = _whitened_update(a_w, nu_w, 1.0 / c)
+        k = _whitened_update(a_w, 1.0 / c)
+        u = np.einsum("rij,rj->ri", k, nu_w)
         e = np.concatenate([u, nu_w - np.einsum("rij,rj->ri", a_w, u)], axis=1)
         x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
-        den = norm(x_old)
-        np.putmask(den, den < _STEP_NORM_GUARD, 1.0)
-        rel = norm(x_new - x_old) / den
+        rel = _relative_steps(x_new, x_old)
         going = rel > kernel.epsilon
         n_going = np.count_nonzero(going)
         if t == kernel.max_iterations or not n_going:
@@ -399,16 +395,16 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
         if n_going < going.size:
             (out,), (keep,) = (~going).nonzero(), going.nonzero()
             leave = active.take(out)
-            x[leave], weights[leave] = x_new.take(out, axis=0), c.take(out, axis=0)
-            k_u[leave], last_rel[leave] = k.take(out, axis=0), rel.take(out)
+            weights[leave], k_u[leave] = c.take(out, axis=0), k.take(out, axis=0)
+            last_rel[leave] = rel.take(out)
             iters[leave] += t
             active, a_w, b_p, x_pred, nu_w, e, x_new = (
                 v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, e, x_new)
             )
         x_old = x_new
-    x[active], weights[active], k_u[active], last_rel[active] = x_new, c, k, rel
+    weights[active], k_u[active], last_rel[active] = c, k, rel
     iters[active] += t
-    return x, weights, k_u, last_rel, active[going]
+    return weights, k_u, last_rel, active[going]
 
 
 def _filter_update(model, kernel, x_pred, p_pred, y, iters):
@@ -416,23 +412,22 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
 
     Both filters whiten the measurement once (``B_p = chol(P_pred)``, the
     model's ``H_w = B_r^-1 H`` and ``B_r^-1``): ``A_w = H_w B_p`` and ``nu_w =
-    B_r^-1 innovation``.  The MCKF runs `_fixed_point` on them; the KF is its
-    unit-weight case (one `_whitened_update` at ``w_inv = 1``), and its ``P``
-    may be one ``(1, n, n)`` covariance shared by all runs.  Both take ``x =
-    x_pred + B_p u`` and ``K_r = B_p K_u`` of the last weights, whose ``K_r
-    B_r^-1`` is the textbook gain (the KF's) or `fixed_point_iterate`'s
-    ``K``.  As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``,
-    the Joseph covariance is ``P = G G'``, ``G = [B_p - K_r A_w | K_r]``: PSD
-    by construction.  ``G G'`` is a general matrix product against a
-    contiguous copy of ``G'`` (``G @ G'`` on one buffer is a symmetric rank-k
-    update, twice as slow per run at 100 runs and more), exactly symmetric as
-    elements ``(i, j)`` and ``(j, i)`` sum the same products in the same
-    order.  Every product is per run, never one BLAS product over all runs, so
-    no run's numbers depend on the stack: mat-vecs use ``einsum`` (one pass,
-    where stacked ``@`` makes a BLAS call per run) and matrix products stacked
-    ``@``, not always the faster: for ``H_w @ B_p`` (n = 2, m = 1) it takes
-    1.9 µs against ``einsum``'s 4.0 at 1 run, but 9.7 against 8.8 at 100 and
-    130 against 47 at 4000.
+    B_r^-1 innovation``.  Only the whitened gain ``K_u`` differs: the MCKF's
+    is `_fixed_point`'s, of its last weights, and the KF's the unit-weight
+    case (one `_whitened_update` at ``w_inv = 1``), whose ``P`` may be one
+    ``(1, n, n)`` covariance shared by all runs.  Both take ``K_r = B_p K_u``,
+    whose ``K_r B_r^-1`` is the textbook gain or `fixed_point_iterate`'s
+    ``K``, and ``x = x_pred + K_r nu_w``.  As ``(I - K H) B_p = B_p - K_r A_w``
+    and ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``, ``G =
+    [B_p - K_r A_w | K_r]``: PSD by construction, and exactly symmetric, as a
+    general matrix product against a contiguous copy of ``G'`` sums the same
+    products in the same order for ``(i, j)`` and ``(j, i)`` (``G @ G'`` on one
+    buffer is a symmetric rank-k update, twice as slow per run at 100 runs).
+    Every product is per run, never one BLAS product over all runs, so no
+    run's numbers depend on the stack: mat-vecs use ``einsum`` (stacked ``@``
+    makes a BLAS call per run), matrix products stacked ``@``, though for
+    ``H_w @ B_p`` (n = 2, m = 1) ``einsum`` takes 4.0 µs against 1.9 at 1
+    run, 8.8 against 9.7 at 100 and 47 against 130 at 4000.
     Returns ``(x, P, K_r, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
     ``(weights, last_rel, capped)``, or ``None`` for the KF.
     """
@@ -442,12 +437,12 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     a_w = model.H_w @ b_p
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
     if kernel is None:
-        u, k_u = _whitened_update(a_w, nu_w, np.ones((runs, n + m)))
-        x, fixed_point = x_pred + np.einsum("...ij,...j->...i", b_p, u), None
+        k_u, fixed_point = _whitened_update(a_w, np.ones((runs, n + m))), None
     else:
-        x, weights, k_u, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
+        weights, k_u, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
         fixed_point = (weights, last_rel, capped)
     k_r = b_p @ k_u
+    x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
     g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
     return x, g @ np.ascontiguousarray(_mT(g)), k_r, fixed_point
 
@@ -481,9 +476,9 @@ def mckf_step(
 
     Runs the batched Monte Carlo engine's step, `_filter_step`, on one run,
     so the result is exactly that run's row of `run_monte_carlo`: predict,
-    the fixed-point solve in gain form, and the Joseph covariance of the
-    final gain, the prior covariance and the nominal ``R``, formed as a Gram
-    product (see `_filter_update`).  The report is the one
+    the fixed-point solve by sequential whitened updates, and the Joseph
+    covariance of the final gain, the prior covariance and the nominal ``R``,
+    formed as a Gram product (see `_filter_update`).  The report is the one
     `fixed_point_iterate` gives.
 
     The inputs are checked once: the belief's dimension and a finite

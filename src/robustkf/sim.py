@@ -27,8 +27,9 @@ other runs are still iterating beside it.
 One loop in `run_monte_carlo` fills the results; an engine is only the
 step it calls, and both give the same numbers.  The ``batched`` step (the
 default) advances all runs at once through the filters' stacked step,
-`robustkf.mckf._filter_step`, which `mckf_step` and `kf_update` run for a
-single run; its fixed-point solve works only on the runs still iterating.
+`robustkf.mckf._filter_step`, which `mckf_step` runs for a single run, as
+`kf_update` runs its `_filter_update`; its fixed-point solve works only on
+the runs still iterating.
 Its KF carries one covariance for all runs: ``P`` and the gain follow the
 Riccati recursion, which reads no measurements, from the same ``p0`` in
 every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
@@ -194,7 +195,8 @@ class ExperimentConfig:
             raise ConfigParseError(f"master_seed {self.master_seed!r} is not an integer")
         for name in ("init_perturb_var", "p0_scale"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value >= 0):
                 raise ConfigParseError(f"{name} must be a finite number >= 0, got {value!r}")
         if not self.filters:
             raise ConfigParseError("at least one filter is required")

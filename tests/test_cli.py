@@ -18,6 +18,7 @@ from robustkf import (
     zeta,
 )
 from robustkf.cli import _config_hash, _write_table, run_cli
+from robustkf.sim import DEFAULT_DENSITY_BINS, EXAMPLE1_ERROR_RANGE
 
 
 def bench_args(out, extra=()):
@@ -122,6 +123,10 @@ def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
         {"noise_case": "bogus"},
         {"filters": [{"kind": "ukf"}]},
         {"filters": [{"kind": "mckf", "sigma": 0, "epsilon": 1e-6}]},
+        {"filters": [{"kind": "mckf", "sigma": True, "epsilon": 1e-6}]},
+        {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": True}]},
+        {"init_perturb_var": True},
+        {"p0_scale": True},
     ],
 )
 def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):
@@ -130,6 +135,26 @@ def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):
     assert run_cli(["bench", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["--sigma", "2,x"], None),
+        (["--sigma", ","], None),
+        (["--config", "missing.json"], None),
+        (["--config", "cfg.json"], "[1, 2]"),
+    ],
+    ids=["unparsable-sigma", "empty-sigma", "unreadable-config", "array-config"],
+)
+def test_unusable_flag_or_config_file_is_config_error(tmp_path, monkeypatch, capsys, args, text):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    assert run_cli(["bench", "--runs", "2", "--steps", "5", *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -315,6 +340,37 @@ class TestSimulate:
         header, rows = read_rows(tmp_path / "density_1_kf.csv")
         assert header == ["bin_center", "mass"]
         assert len(rows) == 101
+
+    def test_example1_densities_span_its_error_range(self, tmp_path):
+        args = ["simulate", "--example", "1", "--sigma", "2", "--runs", "2", "--steps", "20"]
+        assert run_cli([*args, "--seed", "5", "--out", str(tmp_path)]) == 0
+        lo, hi = EXAMPLE1_ERROR_RANGE
+        half_bin = (hi - lo) / (2 * DEFAULT_DENSITY_BINS)
+        for name in ("density_1_kf", "density_2_kf", "density_1_mckf_sigma2_eps1e-06",
+                     "density_2_mckf_sigma2_eps1e-06"):
+            centers = [float(row[0]) for row in read_rows(tmp_path / f"{name}.csv")[1]]
+            assert centers[0] == pytest.approx(lo + half_bin)
+            assert centers[-1] == pytest.approx(hi - half_bin)
+
+    def test_some_runs_diverging_is_a_warning(self, tmp_path, capsys):
+        # The truth grows by 1e10 a step from its first process noise, so a
+        # run overflows by step 32 unless that noise is small: 3 of 4 at seed 4.
+        config = {
+            "example": "custom",
+            "custom_model": {"F": [[1e10]], "H": [[1.0]], "Q": [[0.01]], "R": [[1.0]]},
+            "true_x0": [0.0],
+            "assumed_r": [[1.0]],
+            "runs": 4,
+            "steps": 32,
+            "master_seed": 4,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 3 runs of KF failed and were excluded",
+            "warning: 3 runs of MCKF(sigma=2,epsilon=1e-06) failed and were excluded",
+        ]
 
     def test_every_run_diverging_is_a_numerical_failure(self, tmp_path):
         config = {

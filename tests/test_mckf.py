@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from robustkf import (
     DimensionMismatch,
+    Diverged,
     EmptyInput,
     ExperimentConfig,
     GaussianBelief,
@@ -535,6 +536,17 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
     np.testing.assert_allclose(p[0], p_ref, rtol=1e-9, atol=(1e-12 + slack) * np.abs(p_ref).max())
 
 
+def test_scalar_forms_raise_diverged_on_an_overflowing_iterate():
+    # A vague prior and a measurement near the float maximum: the first
+    # correction, about y / H = 1.7e318, overflows in both forms.
+    model = StateSpaceModel(F=[[1.0]], H=[[1e-10]], Q=[[1.0]], R=[[1.0]])
+    reg = build_regression(model, GaussianBelief([0.0], [[1e30]]), [1.7e308])
+    kernel = KernelConfig(sigma=2.0, epsilon=1e-6)
+    for solve in (fixed_point_iterate, fixed_point_direct):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="iterate 1 "):
+            solve(reg, kernel)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -560,7 +572,7 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
     reg = build_regression(model, prior, y)
     innovation = y - model.H @ prior.mean
     a_w, nu_w = model.H_w @ reg.B_p, model.B_r_inv @ innovation
-    u = _whitened_update(a_w[None], nu_w[None], 1.0 / c[None])[0][0]
+    u = _whitened_update(a_w[None], 1.0 / c[None])[0] @ nu_w
     x_ref = prior.mean + robust_gain(reg, c)[0] @ innovation
     with mpmath.workdps(50):
         b_p, b_r, h = (mpmath.matrix(a) for a in (reg.B_p, model.B_r, model.H))

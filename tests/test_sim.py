@@ -259,6 +259,19 @@ class TestRunMonteCarlo:
         np.testing.assert_array_equal(fast.failed_runs, np.ones((2, 2), dtype=bool))
         np.testing.assert_array_equal(slow.failed_runs, fast.failed_runs)
 
+    def test_run_whose_measurement_overflows_fails_alike_on_both_engines(self):
+        # The truth grows by 1e10 a step from 1.7e8: the 30th measurement is
+        # 1.7e308, near the float maximum, and the 31st overflows.
+        model = StateSpaceModel(F=[[1e10]], H=[[1.0]], Q=[[0.01]], R=[[1.0]])
+        config = small_config(
+            example="custom", custom_model=model, true_x0=(1.7e8,), noise_case="gaussian",
+            assumed_r=[[1.0]],
+        )
+        for steps, failed in ((30, False), (31, True)):
+            for engine in ("batched", "reference"):
+                result = run_monte_carlo(replace(config, steps=steps), engine=engine)
+                assert np.all(result.failed_runs == failed), (steps, engine)
+
     def test_failed_runs_report_no_iterations_on_both_engines(self):
         # Every run diverges, each after hundreds of fixed-point iterations.
         model = StateSpaceModel(
@@ -303,6 +316,21 @@ class TestRunMonteCarlo:
     def test_master_seed_that_is_not_an_integer_is_rejected_when_built(self, seed):
         with pytest.raises(ConfigParseError, match="master_seed"):
             small_config(master_seed=seed)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FilterSpec("kf", KernelConfig(sigma=2.0, epsilon=1e-6)),
+            lambda: FilterSpec("mckf"),
+            lambda: small_config(example="example3"),
+            lambda: small_config(filters=()),
+            lambda: run_monte_carlo(small_config(), engine="fast"),
+        ],
+        ids=["kf-with-kernel", "mckf-without-kernel", "unknown-example", "no-filters", "unknown-engine"],
+    )
+    def test_bad_config_is_rejected(self, build):
+        with pytest.raises(ConfigParseError):
+            build()
 
     def test_collect_covariances(self):
         result = run_monte_carlo(small_config(runs=2, steps=10), collect_covariances=True)
@@ -515,9 +543,9 @@ class TestBatchedEngine:
         widths = []
         whitened_update = robustkf.mckf._whitened_update
 
-        def counting_update(a_w, nu_w, w_inv):
+        def counting_update(a_w, w_inv):
             widths.append(len(a_w))
-            return whitened_update(a_w, nu_w, w_inv)
+            return whitened_update(a_w, w_inv)
 
         monkeypatch.setattr(robustkf.mckf, "_whitened_update", counting_update)
         config = small_config(runs=5, filters=(FilterSpec("kf"),))
@@ -541,9 +569,9 @@ class TestBatchedEngine:
         rows = []
         whitened_update = robustkf.mckf._whitened_update
 
-        def counting_update(a_w, nu_w, w_inv):
+        def counting_update(a_w, w_inv):
             rows.append(len(a_w))
-            return whitened_update(a_w, nu_w, w_inv)
+            return whitened_update(a_w, w_inv)
 
         monkeypatch.setattr(robustkf.mckf, "_whitened_update", counting_update)
         config = small_config(**ENGINE_CASES["impulsive-both"])
