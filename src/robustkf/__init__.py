@@ -39,7 +39,6 @@ from .mckf import (
     compute_residuals,
     fixed_point_direct,
     fixed_point_iterate,
-    fixed_point_map,
     gaussian_kernel,
     kernel_weights,
     mckf_step,
@@ -106,7 +105,6 @@ __all__ = [
     "error_density",
     "fixed_point_direct",
     "fixed_point_iterate",
-    "fixed_point_map",
     "flop_counts",
     "gaussian_kernel",
     "generate_run_data",

@@ -284,8 +284,8 @@ def jacobian_f(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np.ndar
     ``t_i = e_i c_i (d_i - w_i f(x)) / sigma^2``.  A weight held at the
     floor does not move with ``x``, so ``t_i = 0`` on every floored row.
 
-    ``N`` is never formed: with the QR factor ``C^½ W = Q R`` that
-    `fixed_point_map` solves by, the Jacobian is
+    ``N`` is never formed: with the QR factor ``C^½ W = Q R`` that the map
+    is solved by (`weighted_qr_map`), the Jacobian is
     ``R^-1 Q' diag(t / c) C^½ W``.
 
     Raises

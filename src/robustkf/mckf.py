@@ -8,21 +8,20 @@ residuals instead of minimizing their squared sum.  Large whitened residuals
 then receive exponentially small weight, which is what makes the update
 robust to impulsive outliers.
 
-Two algebraically equivalent forms of the resulting fixed-point map are
-implemented:
+``C``'s diagonal is one vector ``c = kernel_weights(e, sigma)`` of length
+``n + m``, state block first: the kernel weights of the residuals clamped
+below at `WEIGHT_FLOOR`, computed by that one function in every form of the
+fixed-point map.  The one-regression forms are algebraically equivalent:
 
-* a weighted-least-squares form, ``x <- (W' C W)^-1 W' C D``
-  (`fixed_point_map`, `fixed_point_direct`), and
+* the paper's weighted least squares ``x <- (W' C W)^-1 W' C D``, in whitened
+  prior coordinates (`fixed_point_direct`, the reference engine's solve) and
+  in the state's own (`weighted_qr_map`, whose map the certificates and the
+  analytic Jacobian of `robustkf.diagnostics` study).  Both solve through one
+  row-sorted QR factor of the weighted design (`_weighted_qr_solve`), never
+  the normal equations, whose condition number is the square of the factor's;
 * a gain form that reweights the prior and measurement covariances and
   applies a Kalman-style correction (`robust_gain`, `fixed_point_iterate`).
 
-``C``'s diagonal is one vector ``c = kernel_weights(e, sigma)`` of length
-``n + m``, state block first: the kernel weights of the residuals clamped
-below at `WEIGHT_FLOOR`.  All three forms (these two and the batched
-filter's below) compute it by that one function.  The weighted-least-squares
-form never builds the normal equations ``W' C W``: it solves through the QR
-factor of ``C^½ W``, whose condition number is the square root of theirs,
-and the analytic Jacobian in `robustkf.diagnostics` reuses that same factor.
 Every factorization and solve is a ``numpy.linalg`` call.
 
 With all kernel weights equal to one, the forms collapse to the ordinary
@@ -35,9 +34,8 @@ where the reweighted measurement covariance is diagonal: each trip's gain
 takes the measurements one at a time (`_whitened_update`, Potter's
 square-root form), with no m x m system, and the estimate and the Joseph
 covariance, an exactly symmetric Gram product, are those of the last trip's
-gain.  The one-regression functions here (`build_regression`,
-`fixed_point_iterate`, ...) are the reference engine's independent
-implementation, and the direct form a cross-check of both.
+gain.  The reference engine's independent implementation solves each update
+at once, by QR (`fixed_point_direct` on `build_regression`).
 """
 
 from __future__ import annotations
@@ -144,7 +142,8 @@ def gaussian_kernel(e, sigma: float):
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be > 0, got {sigma}")
     e = np.asarray(e, dtype=float)
-    out = np.exp((e * e) / (-2.0 * sigma * sigma))  # the sign in the divisor: a pass fewer
+    divisor = -2.0 * sigma * sigma  # the sign in the divisor: a pass fewer
+    out = np.exp((e * e) / divisor if divisor > -np.inf else -0.5 * (e / sigma) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -214,46 +213,38 @@ def robust_gain(
     return gain, p_w, r_w
 
 
+def _weighted_qr_solve(design, obs, c):
+    """``(z, q, r)``: ``z`` minimizes ``||C^½ (obs - design z)||``, ``C^½ design = q r``.
+
+    Householder QR of a weighted design is stable only with its rows in order
+    of decreasing size (Powell and Reid 1969; Cox and Higham 1998), and kernel
+    weights span twelve decades: the rows are factored sorted by their largest
+    entry, and ``q``'s rows put back.  A factor whose smallest singular value
+    is at most ``L * eps`` times its largest (``L`` rows, the tolerance of
+    ``numpy.linalg.matrix_rank``) raises `SingularDesign`.
+    """
+    root_c = np.sqrt(c)
+    scaled = root_c[:, None] * design
+    order = np.argsort(-np.abs(scaled).max(axis=1), kind="stable")
+    q, r = np.linalg.qr(scaled[order])
+    q = q[np.argsort(order)]
+    singular_values = np.linalg.svd(r, compute_uv=False)
+    if not singular_values[-1] > singular_values[0] * c.size * np.finfo(float).eps:
+        raise SingularDesign("weighted design is rank-deficient")
+    return np.linalg.solve(r, q.T @ (root_c * obs)), q, r
+
+
 def weighted_qr_map(reg: AugmentedRegression, x: np.ndarray, sigma: float):
-    """`fixed_point_map` at ``x`` together with the factor it was solved by.
+    """One application of the weighted-least-squares fixed-point map, and its factor.
 
-    Returns ``(f, e, c, q, r)``: the map's value ``f``, the residuals ``e``
-    at ``x``, the floored kernel weights ``c`` (see `kernel_weights`), and
-    the reduced QR factor ``C^½ W = q r``.  Then ``f = r^-1 q' C^½ D``.
-
-    Raises
-    ------
-    SingularDesign
-        If ``C^½ W`` is numerically rank-deficient: its smallest singular
-        value is at most ``L * eps`` times its largest, the tolerance of
-        ``numpy.linalg.matrix_rank``.
+    ``f = (W' C W)^-1 W' C D`` at the floored kernel weights ``c`` of the
+    residuals ``e`` at ``x``, by `_weighted_qr_solve`; its fixed points are the
+    stationary points of the correntropy objective.  Returns ``(f, e, c, q, r)``.
     """
     e = compute_residuals(reg, x)
     c = kernel_weights(e, sigma)
-    root_c = np.sqrt(c)
-    q, r = np.linalg.qr(root_c[:, None] * reg.W)
-    singular_values = np.linalg.svd(r, compute_uv=False)
-    if not singular_values[-1] > singular_values[0] * reg.L * np.finfo(float).eps:
-        raise SingularDesign("weighted design C^1/2 W is rank-deficient")
-    f = np.linalg.solve(r, q.T @ (root_c * reg.D))
+    f, q, r = _weighted_qr_solve(reg.W, reg.D, c)
     return f, e, c, q, r
-
-
-def fixed_point_map(reg: AugmentedRegression, x: np.ndarray, sigma: float) -> np.ndarray:
-    """One application of the weighted-least-squares fixed-point map.
-
-    Evaluates ``(W' C W)^-1 W' C D`` with ``C = diag`` of the kernel weights
-    of the residuals at ``x``, each clamped below at `WEIGHT_FLOOR`.  The
-    value is solved through the QR factor of ``C^½ W`` rather than the normal
-    equations (see `weighted_qr_map`).  The fixed points of this map are the
-    stationary points of the correntropy objective.
-
-    Raises
-    ------
-    SingularDesign
-        If ``W`` is rank-deficient.
-    """
-    return weighted_qr_map(reg, x, sigma)[0]
 
 
 def _relative_steps(x_new, x_old):
@@ -290,7 +281,9 @@ def fixed_point_iterate(
     previous iterate, reweights, recomputes the gain, and applies it to the
     (fixed) innovation.  Stops when the relative step drops to ``epsilon``
     or the iteration cap is hit; the cap is reported via ``converged=False``
-    rather than raised, so sweeps over small bandwidths keep running.
+    rather than raised, so sweeps over small bandwidths keep running.  No
+    engine runs this form, whose ``H P_w H' + R_w`` loses accuracy once
+    weights reach the floor; `fixed_point_direct` is checked against it.
 
     The reported count includes the first correction from the prior mean.
     A step whose first correction is already below the stop threshold (zero
@@ -313,14 +306,37 @@ def fixed_point_iterate(
     return x, gain, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
-def fixed_point_direct(reg: AugmentedRegression, config: KernelConfig) -> np.ndarray:
-    """Solve the correntropy update in weighted-least-squares form.
+def fixed_point_direct(
+    reg: AugmentedRegression, config: KernelConfig
+) -> tuple[np.ndarray, np.ndarray, FixedPointReport]:
+    """Solve the correntropy update in weighted-least-squares form, as the reference engine does.
 
-    Starts from the prior mean and stops by the rule of `fixed_point_iterate`;
-    the two forms agree iterate by iterate and serve as cross-checks of each
-    other.
+    Iterates ``u = B_p^-1 (x - x_p)`` in whitened prior coordinates: each trip
+    weights the residuals ``e = [u ; nu_w - A_w u]`` of the last iterate (``u
+    = 0`` first) and solves the least squares of the design ``[I ; A_w]``,
+    ``A_w = B_r^-1 H B_p``, against ``[0 ; nu_w]``, ``nu_w = B_r^-1 (y - H
+    x_p)``.  Its iterates ``x = x_p + B_p u`` are those of `weighted_qr_map`
+    and `fixed_point_iterate`, stopped by the same rule.  Unlike ``W``, the
+    design has full rank for every prior, even a singular one, and only the
+    innovation is whitened, never ``y``.  Floored state weights beside a large
+    ``A_w`` spread its rows over many decades, hence `_weighted_qr_solve`'s row
+    order.  Returns ``(x, gain, report)`` like `fixed_point_iterate`, with the
+    gain ``K = B_p r^-1 q_y' C_y^½ B_r^-1``, ``q_y`` the last ``q``'s lower rows.
     """
-    return _iterate(reg, config, lambda x: (fixed_point_map(reg, x, config.sigma), None))[0]
+    n, b_r_inv = reg.n, np.linalg.inv(reg.B_r)
+    design = np.vstack([np.eye(n), b_r_inv @ reg.H @ reg.B_p])
+    obs = e = np.concatenate([np.zeros(n), b_r_inv @ (reg.y - reg.H @ reg.prior_mean)])
+
+    def update(x_prev):
+        nonlocal e
+        c = kernel_weights(e, config.sigma)
+        u, q, r = _weighted_qr_solve(design, obs, c)
+        e = obs - design @ u
+        return reg.prior_mean + reg.B_p @ u, (c, q, r)
+
+    x, (c, q, r), t, rel = _iterate(reg, config, update)
+    k_u = np.linalg.solve(r, q[n:].T * np.sqrt(c[n:]))
+    return x, reg.B_p @ k_u @ b_r_inv, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
 def _mT(a):

@@ -35,10 +35,11 @@ Riccati recursion, which reads no measurements, from the same ``p0`` in
 every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
 The independent ``reference`` step advances one run at a time through
 `kf_predict`, a gain (the KF's textbook ``P H' (H P H' + R)^-1``, the
-MCKF's from `fixed_point_iterate` on `build_regression`) and the Joseph
-covariance of that gain, which it writes in its own code as a Gram product,
-as the batched step does.  The loop marks a run whose numbers overflow
-failed; it does not stop the experiment.
+MCKF's from `fixed_point_direct` on `build_regression`: the paper's
+weighted least squares, by QR) and the Joseph covariance of that gain,
+which it writes in its own code as a Gram product, as the batched step
+does.  The loop marks a run whose numbers overflow failed; it does not stop
+the experiment.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
 from .kf import kf_predict
-from .mckf import KernelConfig, _filter_step, build_regression, fixed_point_iterate
+from .mckf import KernelConfig, _filter_step, build_regression, fixed_point_direct
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -383,7 +384,7 @@ def _reference_step(model, kernel, x, p, y, iters):
     gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph`.
     The KF's gain is the textbook ``P H' (H P H' + R)^-1`` of the predicted
     covariance, its ``B_p`` that covariance's `cholesky_stack` factor; the
-    MCKF's are the final gain of `fixed_point_iterate` on `build_regression`
+    MCKF's are the final gain of `fixed_point_direct` on `build_regression`
     and that regression's ``B_p``.  A run that raises a `RobustKFError` (a
     failed run's NaN estimate does) is NaN after the step, so it stays failed.
     ``capped`` lists the runs that hit the cap.
@@ -399,7 +400,7 @@ def _reference_step(model, kernel, x, p, y, iters):
                 b_p = cholesky_stack(prior.cov)
             else:
                 reg = build_regression(model, prior, y[run])
-                _, gain, report = fixed_point_iterate(reg, kernel)
+                _, gain, report = fixed_point_direct(reg, kernel)
                 b_p = reg.B_p
                 iters[run] = report.iterations
                 if not report.converged:

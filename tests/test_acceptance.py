@@ -16,7 +16,6 @@ from robustkf import (
     cholesky_lower,
     fixed_point_direct,
     fixed_point_iterate,
-    fixed_point_map,
     flop_counts,
     generate_run_data,
     jacobian_f,
@@ -28,6 +27,7 @@ from robustkf import (
     zeta,
 )
 from robustkf.cli import run_cli
+from robustkf.mckf import weighted_qr_map
 from conftest import induced_l1_norm, random_model, random_regression, random_spd
 
 
@@ -86,7 +86,7 @@ def test_criterion_02_gain_form_agrees_with_direct_form_per_iterate():
         for depth in (1, 2, 3, 4, 5):
             cfg = KernelConfig(sigma=sigma, epsilon=1e-300, max_iterations=depth)
             x_gain, _, _ = fixed_point_iterate(reg, cfg)
-            x_direct = fixed_point_direct(reg, cfg)
+            x_direct = fixed_point_direct(reg, cfg)[0]
             worst = max(worst, float(np.max(np.abs(x_gain - x_direct))))
     report("2", worst <= 1e-10, f"max per-iterate gap over 100 instances: {worst:.2e}")
 
@@ -281,16 +281,16 @@ def test_criterion_08_certified_bandwidth_contracts():
                 d = np.zeros(n)
                 d[j] = 1e-6
                 jac[:, j] = (
-                    fixed_point_map(reg, x + d, sigma) - fixed_point_map(reg, x - d, sigma)
+                    weighted_qr_map(reg, x + d, sigma)[0] - weighted_qr_map(reg, x - d, sigma)[0]
                 ) / 2e-6
             jac_ok &= induced_l1_norm(jac) <= 0.5 + 1e-6
 
         # (b) iterate gaps halve at every step
         x_prev = reg.prior_mean
-        x = fixed_point_map(reg, x_prev, sigma)
+        x = weighted_qr_map(reg, x_prev, sigma)[0]
         gap_prev = float(np.sum(np.abs(x - x_prev)))
         for _ in range(8):
-            x_next = fixed_point_map(reg, x, sigma)
+            x_next = weighted_qr_map(reg, x, sigma)[0]
             gap = float(np.sum(np.abs(x_next - x)))
             if gap_prev < 1e-14 * max(1.0, beta):
                 break
@@ -302,7 +302,7 @@ def test_criterion_08_certified_bandwidth_contracts():
         for _ in range(10):
             x = l1_ball_point(rng, n, beta)
             for _ in range(400):
-                x_next = fixed_point_map(reg, x, sigma)
+                x_next = weighted_qr_map(reg, x, sigma)[0]
                 if float(np.max(np.abs(x_next - x))) <= 1e-13:
                     break
                 x = x_next
@@ -331,7 +331,7 @@ def test_criterion_09_analytic_jacobian_matches_finite_differences():
             d = np.zeros(n)
             d[j] = 1e-6
             numeric[:, j] = (
-                fixed_point_map(reg, x + d, sigma) - fixed_point_map(reg, x - d, sigma)
+                weighted_qr_map(reg, x + d, sigma)[0] - weighted_qr_map(reg, x - d, sigma)[0]
             ) / 2e-6
         worst = max(worst, max_rel_diff(analytic, numeric))
     report("9", worst <= 1e-5, f"max relative error over 100 instances: {worst:.2e}")

@@ -21,7 +21,6 @@ from robustkf import (
     SingularDesign,
     StateSpaceModel,
     build_regression,
-    fixed_point_map,
     flop_counts,
     gaussian_kernel,
     generate_run_data,
@@ -42,7 +41,7 @@ from robustkf.diagnostics import (
     _bound_parts,
     _bounds,
 )
-from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression
+from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression, weighted_qr_map
 from conftest import induced_l1_norm, random_regression
 
 
@@ -194,7 +193,7 @@ def finite_difference_jacobian(reg, x, sigma, step=1e-6):
         delta = np.zeros(n)
         delta[j] = step
         jac[:, j] = (
-            fixed_point_map(reg, x + delta, sigma) - fixed_point_map(reg, x - delta, sigma)
+            weighted_qr_map(reg, x + delta, sigma)[0] - weighted_qr_map(reg, x - delta, sigma)[0]
         ) / (2.0 * step)
     return jac
 
@@ -345,7 +344,7 @@ class TestSufficientSigma:
                 # uniform direction on the l1 sphere, scaled into the ball
                 raw = rng.exponential(size=2) * rng.choice([-1.0, 1.0], size=2)
                 point = beta * rng.uniform() ** 0.5 * raw / np.sum(np.abs(raw))
-                image = fixed_point_map(reg, point, cert.sigma_min)
+                image = weighted_qr_map(reg, point, cert.sigma_min)[0]
                 assert float(np.sum(np.abs(image))) <= beta * (1.0 + 1e-9)
                 jac = finite_difference_jacobian(reg, point, cert.sigma_min)
                 assert induced_l1_norm(jac) <= 0.5 + 1e-6
@@ -359,7 +358,7 @@ class TestSufficientSigma:
             raw = rng.exponential(size=2) * rng.choice([-1.0, 1.0], size=2)
             x = beta * rng.uniform() ** 0.5 * raw / np.sum(np.abs(raw))
             for _ in range(300):
-                x_next = fixed_point_map(reg, x, cert.sigma_min)
+                x_next = weighted_qr_map(reg, x, cert.sigma_min)[0]
                 if float(np.max(np.abs(x_next - x))) <= 1e-13:
                     break
                 x = x_next
@@ -614,7 +613,7 @@ def test_package_runs_without_scipy():
         kf_update(model, kf_predict(model, belief), [0.5])
         solve_spd(belief.cov, np.ones(2))
         reg = build_regression(model, belief, [0.5])
-        x = fixed_point_direct(reg, kernel)
+        x = fixed_point_direct(reg, kernel)[0]
         jacobian_f(reg, x, kernel.sigma)
         sufficient_sigma(reg, 2.0 * zeta(reg), 0.5)
         assert run_cli(["diagnose", "--example", "1", "--noise", "gaussian", "--seed", "3"]) == 0
@@ -684,7 +683,7 @@ class TestJacobian:
         with pytest.raises(SingularDesign):
             jacobian_f(reg, np.zeros(2), 1.5)
         with pytest.raises(SingularDesign):
-            fixed_point_map(reg, np.zeros(2), 1.5)
+            weighted_qr_map(reg, np.zeros(2), 1.5)
         with pytest.raises(SingularDesign):
             zeta(reg)
         with pytest.raises(SingularDesign):

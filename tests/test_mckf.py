@@ -23,7 +23,6 @@ from robustkf import (
     compute_residuals,
     fixed_point_direct,
     fixed_point_iterate,
-    fixed_point_map,
     gaussian_kernel,
     generate_run_data,
     kernel_weights,
@@ -41,6 +40,7 @@ from robustkf.mckf import (
     WEIGHT_FLOOR,
     _filter_step,
     _filter_update,
+    _weighted_qr_solve,
     _whitened_update,
     weighted_qr_map,
 )
@@ -74,6 +74,11 @@ class TestGaussianKernel:
     def test_invalid_bandwidth(self):
         with pytest.raises(InvalidBandwidth):
             gaussian_kernel(1.0, 0.0)
+
+    def test_bandwidth_whose_square_overflows(self):
+        # Above 1.3e154, 2 sigma^2 and e^2 overflow: e^2 / (2 sigma^2) would be inf / inf.
+        got = gaussian_kernel([1e200, 1.0, 2e160], 1e160)
+        np.testing.assert_allclose(got, [0.0, 1.0, math.exp(-2.0)], rtol=1e-15, atol=0.0)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -290,7 +295,7 @@ class TestFixedPoint:
         model, prior, reg = scalar_regression(p=1.0, r=0.01, h=1.0, x_prior=0.0, y=10.0)
         config = KernelConfig(sigma=2.0, epsilon=1e-6)
         x_gain, _, _ = fixed_point_iterate(reg, config)
-        x_direct = fixed_point_direct(reg, config)
+        x_direct = fixed_point_direct(reg, config)[0]
         post, _ = kf_update(model, prior, [10.0])
         assert abs(x_gain[0]) < abs(post.mean[0])
         assert abs(x_gain[0] - x_direct[0]) <= 1e-10
@@ -298,9 +303,26 @@ class TestFixedPoint:
     def test_unit_weights_direct_form_is_least_squares(self, rng):
         reg = random_regression(rng, 3, 2)
         config = KernelConfig(sigma=1e12, epsilon=1e-10)
-        x = fixed_point_direct(reg, config)
+        x = fixed_point_direct(reg, config)[0]
         lsq, *_ = np.linalg.lstsq(reg.W, reg.D, rcond=None)
         np.testing.assert_allclose(x, lsq, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, iterations",
+        [(np.zeros((3, 3)), 1), (np.diag([0.0, 0.01, 0.01]), 9)],
+        ids=["zero", "rank-2"],
+    )
+    def test_direct_form_solves_a_singular_prior(self, p, iterations):
+        # Example 2 with Q = 0: W loses rank with P, the whitened design [I ; A_w] does not.
+        example2 = make_example2()
+        model = StateSpaceModel(F=example2.F, H=example2.H, Q=np.zeros((3, 3)), R=example2.R)
+        reg = build_regression(model, GaussianBelief([0.0, 0.0, 1.0], p), [0.52])
+        config = KernelConfig(sigma=2.0, epsilon=1e-6)
+        x, gain, report = fixed_point_direct(reg, config)
+        x_ref, gain_ref, report_ref = fixed_point_iterate(reg, config)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(gain, gain_ref, rtol=0.0, atol=1e-15)
+        assert report.iterations == report_ref.iterations == iterations
 
     def test_forms_agree_per_iterate(self, rng):
         for _ in range(10):
@@ -310,7 +332,7 @@ class TestFixedPoint:
             for depth in (1, 2, 3, 4):
                 config = KernelConfig(sigma=1.5, epsilon=1e-300, max_iterations=depth)
                 x_gain, _, _ = fixed_point_iterate(reg, config)
-                x_direct = fixed_point_direct(reg, config)
+                x_direct = fixed_point_direct(reg, config)[0]
                 assert float(np.max(np.abs(x_gain - x_direct))) <= 1e-10
 
 
@@ -383,10 +405,10 @@ class TestMckfStep:
             beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
             x_prev = reg.prior_mean
-            x = fixed_point_map(reg, x_prev, cert.sigma_min)
+            x = weighted_qr_map(reg, x_prev, cert.sigma_min)[0]
             gap_prev = float(np.sum(np.abs(x - x_prev)))
             for _ in range(6):
-                x_next = fixed_point_map(reg, x, cert.sigma_min)
+                x_next = weighted_qr_map(reg, x, cert.sigma_min)[0]
                 gap = float(np.sum(np.abs(x_next - x)))
                 if gap_prev < 1e-14 * max(1.0, beta):
                     break
@@ -559,8 +581,11 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
     # priors over eight decades, each weight at the floor with probability 0.4.
     # On m = 1 both gain forms are a quotient of positive sums.  On m >= 2 the
     # sequential update divides only by alpha >= 1 (worst 1.4e-9 measured on
-    # 600 such draws); the reference engine's x-space gain form, which solves
-    # H P_w H' + R_w, reached 3.7e-3 there and is recorded, not asserted.
+    # 600 such draws); the x-space gain form, which solves H P_w H' + R_w,
+    # reached 3.7e-3 there and is recorded, not asserted.  The reference
+    # engine's QR of the weighted [I ; A_w], its rows sorted by size, reached
+    # 3.4e-13 (m = 1) and 5.2e-12 (m >= 2) on 600 draws; unsorted, 1.9e-9 and
+    # 3.9e-9, so the bound also guards the row order.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
     n, m = dims
@@ -573,16 +598,19 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
     innovation = y - model.H @ prior.mean
     a_w, nu_w = model.H_w @ reg.B_p, model.B_r_inv @ innovation
     u = _whitened_update(a_w[None], 1.0 / c[None])[0] @ nu_w
+    u_qr = _weighted_qr_solve(np.vstack([np.eye(n), a_w]), np.r_[np.zeros(n), nu_w], c)[0]
     x_ref = prior.mean + robust_gain(reg, c)[0] @ innovation
     with mpmath.workdps(50):
         b_p, b_r, h = (mpmath.matrix(a) for a in (reg.B_p, model.B_r, model.H))
         nu_exact = mpmath.lu_solve(b_r, mpmath.matrix(innovation))
         u_exact = exact_whitened_update(mpmath.inverse(b_r) * h * b_p, nu_exact, c)
         error = float(mpmath.norm(mpmath.matrix(u) - u_exact))
+        error_qr = float(mpmath.norm(mpmath.matrix(u_qr) - u_exact))
         step = mpmath.matrix(x_ref) - mpmath.matrix(prior.mean)
         error_ref = float(mpmath.norm(mpmath.lu_solve(b_p, step) - u_exact))
+    assert error_qr <= 1e-11
     if m == 1:
         assert error <= 1e-11 and error_ref <= 1e-11
     else:
         assert error <= 1e-7
-        event(f"reference gain form, m >= 2: error below 1e{math.ceil(math.log10(error_ref + 1e-300))}")
+        event(f"x-space gain form, m >= 2: error below 1e{math.ceil(math.log10(error_ref + 1e-300))}")
