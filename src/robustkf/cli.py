@@ -162,15 +162,14 @@ def _experiment_from_args(ns) -> ExperimentConfig:
     if sigma_flag is not None or epsilon_flag is not None or "filters" not in data:
         sigmas = _parse_float_list(sigma_flag, "--sigma") if sigma_flag else [2.0]
         epsilons = _parse_float_list(epsilon_flag, "--epsilon") if epsilon_flag else [1e-6]
-        cap = getattr(ns, "max_iterations", None)
-        capped = {} if cap is None else {"max_iterations": cap}
-        filters = [{"kind": "kf"}]
-        filters += [
-            {"kind": "mckf", "sigma": s, "epsilon": e, **capped}
-            for s in sigmas
-            for e in epsilons
+        data["filters"] = [{"kind": "kf"}] + [
+            {"kind": "mckf", "sigma": s, "epsilon": e} for s in sigmas for e in epsilons
         ]
-        data["filters"] = filters
+    cap = getattr(ns, "max_iterations", None)
+    if cap is not None and isinstance(data["filters"], list):  # from_dict rejects other values
+        for spec in data["filters"]:
+            if isinstance(spec, dict) and spec.get("kind") == "mckf":
+                spec["max_iterations"] = cap
     return ExperimentConfig.from_dict(data)
 
 

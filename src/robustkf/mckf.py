@@ -35,7 +35,7 @@ takes the measurements one at a time (`_whitened_update`, Potter's
 square-root form), with no m x m system, and the estimate and the Joseph
 covariance, an exactly symmetric Gram product, are those of the last trip's
 gain.  The reference engine's independent implementation solves each update
-at once, by QR (`fixed_point_direct` on `build_regression`).
+at once, by QR (`fixed_point_direct`), whitened by the same model factors.
 """
 
 from __future__ import annotations
@@ -143,7 +143,11 @@ def gaussian_kernel(e, sigma: float):
         raise InvalidBandwidth(f"sigma must be > 0, got {sigma}")
     e = np.asarray(e, dtype=float)
     divisor = -2.0 * sigma * sigma  # the sign in the divisor: a pass fewer
-    out = np.exp((e * e) / divisor if divisor > -np.inf else -0.5 * (e / sigma) ** 2)
+    if -np.inf < divisor < 0.0:
+        out = np.exp((e * e) / divisor)
+    else:  # 2 sigma^2 overflows or underflows; an overflowing (e / sigma)^2 is weight 0
+        with np.errstate(over="ignore"):
+            out = np.exp(-0.5 * (e / sigma) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -255,12 +259,11 @@ def _relative_steps(x_new, x_old):
     return np.sqrt(np.einsum("...i,...i->...", d, d)) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
 
 
-def _iterate(reg: AugmentedRegression, config: KernelConfig, update):
-    """The one-regression fixed-point loop: ``x, out = update(x_prev)`` from the
-    prior mean until `_relative_steps` is at most ``epsilon`` or the cap; returns
-    ``(x, out, t, rel)`` of the last iteration ``t``.  A non-finite iterate raises
-    `Diverged`."""
-    x_prev = reg.prior_mean
+def _iterate(x_prev: np.ndarray, config: KernelConfig, update):
+    """The single-run fixed-point loop: ``x, out = update(x_prev)`` from ``x_prev``,
+    the prior mean, until `_relative_steps` is at most ``epsilon`` or the cap;
+    returns ``(x, out, t, rel)`` of the last iteration ``t``.  A non-finite
+    iterate raises `Diverged`."""
     for t in range(1, config.max_iterations + 1):
         x, out = update(x_prev)
         if not np.all(np.isfinite(x)):
@@ -302,41 +305,42 @@ def fixed_point_iterate(
         gain = robust_gain(reg, c)[0]
         return reg.prior_mean + gain @ innovation, (gain, c)
 
-    x, (gain, c), t, rel = _iterate(reg, config, update)
+    x, (gain, c), t, rel = _iterate(reg.prior_mean, config, update)
     return x, gain, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
 def fixed_point_direct(
-    reg: AugmentedRegression, config: KernelConfig
+    model: StateSpaceModel, prior: GaussianBelief, y: np.ndarray, config: KernelConfig
 ) -> tuple[np.ndarray, np.ndarray, FixedPointReport]:
     """Solve the correntropy update in weighted-least-squares form, as the reference engine does.
 
-    Iterates ``u = B_p^-1 (x - x_p)`` in whitened prior coordinates: each trip
-    weights the residuals ``e = [u ; nu_w - A_w u]`` of the last iterate (``u
-    = 0`` first) and solves the least squares of the design ``[I ; A_w]``,
-    ``A_w = B_r^-1 H B_p``, against ``[0 ; nu_w]``, ``nu_w = B_r^-1 (y - H
-    x_p)``.  Its iterates ``x = x_p + B_p u`` are those of `weighted_qr_map`
-    and `fixed_point_iterate`, stopped by the same rule.  Unlike ``W``, the
-    design has full rank for every prior, even a singular one, and only the
-    innovation is whitened, never ``y``.  Floored state weights beside a large
-    ``A_w`` spread its rows over many decades, hence `_weighted_qr_solve`'s row
-    order.  Returns ``(x, gain, report)`` like `fixed_point_iterate`, with the
-    gain ``K = B_p r^-1 q_y' C_y^½ B_r^-1``, ``q_y`` the last ``q``'s lower rows.
+    Checks ``prior`` and ``y`` as the steps do and iterates ``u = B_p^-1 (x -
+    x_p)``, ``B_p`` the `cholesky_stack` factor of ``prior.cov``: each trip
+    weights the residuals ``e = [u ; nu_w - A_w u]`` of the last iterate (``u =
+    0`` first) and solves the least squares of ``[I ; A_w]`` against ``[0 ;
+    nu_w]``, whitened by the model: ``A_w = H_w B_p``, ``nu_w = B_r^-1 (y - H
+    x_p)``.  Its iterates ``x = x_p + B_p u`` are `fixed_point_iterate`'s on
+    `build_regression`, with the same stop rule, but unlike ``W`` this design
+    has full rank for every prior, even a singular one.  Floored state weights
+    beside a large ``A_w`` spread its rows over many decades, hence
+    `_weighted_qr_solve`'s row order.  Returns ``(x, gain, report)``, the gain
+    ``K = B_p r^-1 q_y' C_y^½ B_r^-1``, ``q_y`` the last ``q``'s lower rows.
     """
-    n, b_r_inv = reg.n, np.linalg.inv(reg.B_r)
-    design = np.vstack([np.eye(n), b_r_inv @ reg.H @ reg.B_p])
-    obs = e = np.concatenate([np.zeros(n), b_r_inv @ (reg.y - reg.H @ reg.prior_mean)])
+    y = _checked_measurement(model, prior, y, "fixed_point_direct")[0]
+    n, b_p, x_p = model.n, cholesky_stack(prior.cov), prior.mean
+    design = np.vstack([np.eye(n), model.H_w @ b_p])
+    obs = e = np.concatenate([np.zeros(n), model.B_r_inv @ (y - model.H @ x_p)])
 
     def update(x_prev):
         nonlocal e
         c = kernel_weights(e, config.sigma)
         u, q, r = _weighted_qr_solve(design, obs, c)
         e = obs - design @ u
-        return reg.prior_mean + reg.B_p @ u, (c, q, r)
+        return x_p + b_p @ u, (c, q, r)
 
-    x, (c, q, r), t, rel = _iterate(reg, config, update)
+    x, (c, q, r), t, rel = _iterate(x_p, config, update)
     k_u = np.linalg.solve(r, q[n:].T * np.sqrt(c[n:]))
-    return x, reg.B_p @ k_u @ b_r_inv, FixedPointReport(t, rel <= config.epsilon, c, rel)
+    return x, b_p @ k_u @ model.B_r_inv, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
 def _mT(a):

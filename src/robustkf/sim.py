@@ -35,11 +35,11 @@ Riccati recursion, which reads no measurements, from the same ``p0`` in
 every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
 The independent ``reference`` step advances one run at a time through
 `kf_predict`, a gain (the KF's textbook ``P H' (H P H' + R)^-1``, the
-MCKF's from `fixed_point_direct` on `build_regression`: the paper's
-weighted least squares, by QR) and the Joseph covariance of that gain,
-which it writes in its own code as a Gram product, as the batched step
-does.  The loop marks a run whose numbers overflow failed; it does not stop
-the experiment.
+MCKF's from `fixed_point_direct` on the model, the prior and the
+measurement: the paper's weighted least squares in whitened prior
+coordinates, by QR) and the Joseph covariance of that gain, which it writes
+in its own code as a Gram product, as the batched step does.  The loop
+marks a run whose numbers overflow failed; it does not stop the experiment.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
 from .kf import kf_predict
-from .mckf import KernelConfig, _filter_step, build_regression, fixed_point_direct
+from .mckf import KernelConfig, _filter_step, fixed_point_direct
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -381,13 +381,13 @@ def _reference_step(model, kernel, x, p, y, iters):
     """One step of every run, a run at a time; ``kernel is None`` is the KF.
 
     Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``, a
-    gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph`.
-    The KF's gain is the textbook ``P H' (H P H' + R)^-1`` of the predicted
-    covariance, its ``B_p`` that covariance's `cholesky_stack` factor; the
-    MCKF's are the final gain of `fixed_point_direct` on `build_regression`
-    and that regression's ``B_p``.  A run that raises a `RobustKFError` (a
-    failed run's NaN estimate does) is NaN after the step, so it stays failed.
-    ``capped`` lists the runs that hit the cap.
+    gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph` of
+    the predicted covariance's `cholesky_stack` factor ``B_p``.  The KF's gain
+    is the textbook ``P H' (H P H' + R)^-1``; the MCKF's is the final gain of
+    `fixed_point_direct(model, prior, y, kernel)`, which whitens with the
+    model's factors and builds no x-space regression.  A run that raises a
+    `RobustKFError` (a failed run's NaN estimate does) is NaN after the step,
+    so it stays failed.  ``capped`` lists the runs that hit the cap.
     """
     x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
     capped = []
@@ -397,16 +397,13 @@ def _reference_step(model, kernel, x, p, y, iters):
             if kernel is None:
                 hp = model.H @ prior.cov
                 gain = solve_spd(hp @ model.H.T + model.R, hp).T
-                b_p = cholesky_stack(prior.cov)
             else:
-                reg = build_regression(model, prior, y[run])
-                _, gain, report = fixed_point_direct(reg, kernel)
-                b_p = reg.B_p
+                _, gain, report = fixed_point_direct(model, prior, y[run], kernel)
                 iters[run] = report.iterations
                 if not report.converged:
                     capped.append(run)
             x_new[run] = prior.mean + gain @ (y[run] - model.H @ prior.mean)
-            p_new[run] = _joseph(model, b_p, gain)
+            p_new[run] = _joseph(model, cholesky_stack(prior.cov), gain)
         except RobustKFError:
             x_new[run] = np.nan
     return x_new, p_new, capped

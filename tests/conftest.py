@@ -78,11 +78,16 @@ def random_model(rng: np.random.Generator, n: int, m: int) -> StateSpaceModel:
     )
 
 
-def random_regression(rng: np.random.Generator, n: int, m: int):
+def random_problem(rng: np.random.Generator, n: int, m: int):
+    """A random model, prior and measurement: ``(model, prior, y)``."""
     model = random_model(rng, n, m)
     prior = GaussianBelief(rng.standard_normal(n), random_spd(rng, n, 0.5))
     y = model.H @ prior.mean + rng.standard_normal(m)
-    return build_regression(model, prior, y)
+    return model, prior, y
+
+
+def random_regression(rng: np.random.Generator, n: int, m: int):
+    return build_regression(*random_problem(rng, n, m))
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from robustkf import (
 )
 from robustkf.cli import run_cli
 from robustkf.mckf import weighted_qr_map
-from conftest import induced_l1_norm, random_model, random_regression, random_spd
+from conftest import induced_l1_norm, random_model, random_problem, random_regression, random_spd
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -81,12 +81,13 @@ def test_criterion_02_gain_form_agrees_with_direct_form_per_iterate():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 3))
-        reg = random_regression(rng, n, m)
+        problem = random_problem(rng, n, m)
+        reg = build_regression(*problem)
         sigma = float(rng.uniform(1.0, 4.0))
         for depth in (1, 2, 3, 4, 5):
             cfg = KernelConfig(sigma=sigma, epsilon=1e-300, max_iterations=depth)
             x_gain, _, _ = fixed_point_iterate(reg, cfg)
-            x_direct = fixed_point_direct(reg, cfg)[0]
+            x_direct = fixed_point_direct(*problem, cfg)[0]
             worst = max(worst, float(np.max(np.abs(x_gain - x_direct))))
     report("2", worst <= 1e-10, f"max per-iterate gap over 100 instances: {worst:.2e}")
 

@@ -266,6 +266,23 @@ class TestBench:
         assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 0
         assert "seed=99 " in (out / "mse.csv").read_text().splitlines()[0]
 
+    def test_max_iterations_flag_caps_the_filters_of_a_config_file(self, tmp_path):
+        # As --seed overrides the file's master_seed, --max-iterations caps every
+        # MCKF the file lists: the flagged run writes what a file with the cap does.
+        def bench(name, filters, flags=()):
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            path.write_text(json.dumps({"runs": 3, "steps": 30, "filters": filters}))
+            status = run_cli(["bench", "--config", str(path), "--out", str(out), *flags])
+            tables = ("mse.csv", "iterations.csv") if status == 0 else ()
+            return status, [(out / table).read_bytes() for table in tables]
+
+        kf, mckf = {"kind": "kf"}, {"kind": "mckf", "sigma": 2.0, "epsilon": 1e-6}
+        flagged = bench("flag", [kf, mckf], ["--max-iterations", "1"])
+        assert flagged == bench("file", [kf, {**mckf, "max_iterations": 1}])
+        assert flagged != bench("plain", [kf, mckf])
+        assert float(read_rows(tmp_path / "flag" / "iterations.csv")[1][0][3]) == 1.0
+        assert bench("malformed", "mckf", ["--max-iterations", "1"])[0] == 1
+
     def test_bad_config_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

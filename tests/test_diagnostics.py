@@ -613,7 +613,7 @@ def test_package_runs_without_scipy():
         kf_update(model, kf_predict(model, belief), [0.5])
         solve_spd(belief.cov, np.ones(2))
         reg = build_regression(model, belief, [0.5])
-        x = fixed_point_direct(reg, kernel)[0]
+        x = fixed_point_direct(model, belief, [0.5], kernel)[0]
         jacobian_f(reg, x, kernel.sigma)
         sufficient_sigma(reg, 2.0 * zeta(reg), 0.5)
         assert run_cli(["diagnose", "--example", "1", "--noise", "gaussian", "--seed", "3"]) == 0

@@ -49,6 +49,7 @@ from conftest import (
     correntropy_estimate,
     exact_whitened_update,
     random_model,
+    random_problem,
     random_regression,
     random_spd,
 )
@@ -79,6 +80,9 @@ class TestGaussianKernel:
         # Above 1.3e154, 2 sigma^2 and e^2 overflow: e^2 / (2 sigma^2) would be inf / inf.
         got = gaussian_kernel([1e200, 1.0, 2e160], 1e160)
         np.testing.assert_allclose(got, [0.0, 1.0, math.exp(-2.0)], rtol=1e-15, atol=0.0)
+        # Below 1.1e-162, 2 sigma^2 underflows to -0.0: e^2 / (2 sigma^2) would be 0 / 0 at e = 0.
+        got = gaussian_kernel([0.0, 1e-170, 1.0, 1e300], 1e-170)
+        np.testing.assert_allclose(got, [1.0, math.exp(-0.5), 0.0, 0.0], rtol=1e-15, atol=0.0)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -295,15 +299,16 @@ class TestFixedPoint:
         model, prior, reg = scalar_regression(p=1.0, r=0.01, h=1.0, x_prior=0.0, y=10.0)
         config = KernelConfig(sigma=2.0, epsilon=1e-6)
         x_gain, _, _ = fixed_point_iterate(reg, config)
-        x_direct = fixed_point_direct(reg, config)[0]
+        x_direct = fixed_point_direct(model, prior, [10.0], config)[0]
         post, _ = kf_update(model, prior, [10.0])
         assert abs(x_gain[0]) < abs(post.mean[0])
         assert abs(x_gain[0] - x_direct[0]) <= 1e-10
 
     def test_unit_weights_direct_form_is_least_squares(self, rng):
-        reg = random_regression(rng, 3, 2)
+        problem = random_problem(rng, 3, 2)
+        reg = build_regression(*problem)
         config = KernelConfig(sigma=1e12, epsilon=1e-10)
-        x = fixed_point_direct(reg, config)[0]
+        x = fixed_point_direct(*problem, config)[0]
         lsq, *_ = np.linalg.lstsq(reg.W, reg.D, rcond=None)
         np.testing.assert_allclose(x, lsq, atol=1e-9)
 
@@ -316,9 +321,10 @@ class TestFixedPoint:
         # Example 2 with Q = 0: W loses rank with P, the whitened design [I ; A_w] does not.
         example2 = make_example2()
         model = StateSpaceModel(F=example2.F, H=example2.H, Q=np.zeros((3, 3)), R=example2.R)
-        reg = build_regression(model, GaussianBelief([0.0, 0.0, 1.0], p), [0.52])
+        prior = GaussianBelief([0.0, 0.0, 1.0], p)
+        reg = build_regression(model, prior, [0.52])
         config = KernelConfig(sigma=2.0, epsilon=1e-6)
-        x, gain, report = fixed_point_direct(reg, config)
+        x, gain, report = fixed_point_direct(model, prior, [0.52], config)
         x_ref, gain_ref, report_ref = fixed_point_iterate(reg, config)
         np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(gain, gain_ref, rtol=0.0, atol=1e-15)
@@ -328,11 +334,12 @@ class TestFixedPoint:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 4))
-            reg = random_regression(rng, n, m)
+            problem = random_problem(rng, n, m)
+            reg = build_regression(*problem)
             for depth in (1, 2, 3, 4):
                 config = KernelConfig(sigma=1.5, epsilon=1e-300, max_iterations=depth)
                 x_gain, _, _ = fixed_point_iterate(reg, config)
-                x_direct = fixed_point_direct(reg, config)[0]
+                x_direct = fixed_point_direct(*problem, config)[0]
                 assert float(np.max(np.abs(x_gain - x_direct))) <= 1e-10
 
 
@@ -474,18 +481,32 @@ class TestStepBoundary:
                     belief, _ = STEP_CALLS[name](fmodel, belief, y)
 
 
+def _direct_solve(model, belief, y):
+    return fixed_point_direct(model, belief, y, KernelConfig(sigma=2.0, epsilon=1e-6))
+
+
 @pytest.mark.parametrize(
-    "mean, y, error",
+    "mean, y, error, check",
     [
-        ([0.0, 0.0], [np.nan], NonFinite),
-        ([0.0, 0.0], [1.0, 2.0], DimensionMismatch),
-        ([0.0, 0.0, 0.0], [1.0], DimensionMismatch),
+        ([0.0, 0.0], [np.nan], NonFinite, build_regression),
+        ([0.0, 0.0], [1.0, 2.0], DimensionMismatch, build_regression),
+        ([0.0, 0.0, 0.0], [1.0], DimensionMismatch, build_regression),
+        ([0.0, 0.0], [np.nan], NonFinite, _direct_solve),
+        ([0.0, 0.0, 0.0], [1.0], DimensionMismatch, _direct_solve),
+    ],
+    # The first three ids are those of the rows before the direct form's.
+    ids=[
+        "mean0-y0-NonFinite",
+        "mean1-y1-DimensionMismatch",
+        "mean2-y2-DimensionMismatch",
+        "fixed_point_direct-NonFinite",
+        "fixed_point_direct-DimensionMismatch",
     ],
 )
-def test_build_regression_checks_inputs_like_the_steps(mean, y, error):
+def test_build_regression_checks_inputs_like_the_steps(mean, y, error, check):
     belief = GaussianBelief(mean, 0.01 * np.eye(len(mean)))
     with pytest.raises(error):
-        build_regression(make_example1(), belief, y)
+        check(make_example1(), belief, y)
 
 
 def _reference_trips(model, reg, kernel, iterations):
@@ -562,11 +583,12 @@ def test_scalar_forms_raise_diverged_on_an_overflowing_iterate():
     # A vague prior and a measurement near the float maximum: the first
     # correction, about y / H = 1.7e318, overflows in both forms.
     model = StateSpaceModel(F=[[1.0]], H=[[1e-10]], Q=[[1.0]], R=[[1.0]])
-    reg = build_regression(model, GaussianBelief([0.0], [[1e30]]), [1.7e308])
+    prior, y = GaussianBelief([0.0], [[1e30]]), [1.7e308]
+    reg = build_regression(model, prior, y)
     kernel = KernelConfig(sigma=2.0, epsilon=1e-6)
-    for solve in (fixed_point_iterate, fixed_point_direct):
+    for solve, problem in ((fixed_point_iterate, (reg,)), (fixed_point_direct, (model, prior, y))):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="iterate 1 "):
-            solve(reg, kernel)
+            solve(*problem, kernel)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

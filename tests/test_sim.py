@@ -414,11 +414,24 @@ ENGINE_CASES = {
     ),
 }
 
+#: `ENGINE_CASES`, and configs whose x-space gain form is no oracle of the step.
+AGREEMENT_CASES = {
+    **ENGINE_CASES,
+    # A bandwidth whose 2 sigma^2 underflows to -0.0: the kernel must take
+    # exp(-(e / sigma)^2 / 2), or a zero residual's weight is 0 / 0 = NaN.
+    # The gain form's state residuals at the prior mean are rounding, not 0,
+    # so its first weights are floored where the whitened forms' are 1.
+    "vanishing-bandwidth": dict(
+        runs=10,
+        filters=(FilterSpec("mckf", KernelConfig(sigma=1e-170, epsilon=1e-6)),),
+    ),
+}
+
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("case", ENGINE_CASES)
+    @pytest.mark.parametrize("case", AGREEMENT_CASES)
     def test_matches_reference_engine(self, case):
-        config = small_config(**ENGINE_CASES[case])
+        config = small_config(**AGREEMENT_CASES[case])
         fast = run_monte_carlo(config, engine="batched", collect_covariances=True)
         slow = run_monte_carlo(config, engine="reference", collect_covariances=True)
         np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
@@ -579,6 +592,28 @@ class TestBatchedEngine:
         config = small_config(**ENGINE_CASES["impulsive-both"])
         result = run_monte_carlo(config)
         assert sum(rows) == result.iterations[1].sum() + config.steps
+
+    def test_reference_mckf_solves_once_per_run_step_and_builds_no_regression(self, monkeypatch):
+        # The reference MCKF whitens with the model's factors: its solve takes
+        # the model, prior and measurement, and no x-space regression is built.
+        calls = []
+
+        def spy(name, wrapped):
+            def call(*args):
+                calls.append(name)
+                return wrapped(*args)
+
+            return call
+
+        direct = spy("fixed_point_direct", robustkf.sim.fixed_point_direct)
+        monkeypatch.setattr(robustkf.sim, "fixed_point_direct", direct)
+        build = spy("build_regression", robustkf.mckf.build_regression)
+        for module in (robustkf.mckf, robustkf.sim):  # wherever the step could find it
+            monkeypatch.setattr(module, "build_regression", build, raising=False)
+        config = small_config(**{**ENGINE_CASES["impulsive-both"], "runs": 5, "steps": 10})
+        result = run_monte_carlo(config, engine="reference")
+        assert not result.failed_runs.any()
+        assert calls == ["fixed_point_direct"] * (config.runs * config.steps)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
