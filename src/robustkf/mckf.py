@@ -1,41 +1,43 @@
 """Correntropy-based robust Kalman update via fixed-point iteration.
 
-The update treats the prior and the measurement as one stacked regression:
-whitening the stack by the Cholesky factors of the prior covariance and the
-measurement covariance gives residuals with identity covariance, and the
-state estimate maximizes the mean Gaussian-kernel similarity of those
-residuals instead of minimizing their squared sum.  Large whitened residuals
-then receive exponentially small weight, which is what makes the update
-robust to impulsive outliers.
+The update treats the prior and the measurement as one stacked regression,
+whitened by the Cholesky factor ``B_p`` of the prior covariance and by the
+model's ``B_r^-1`` to residuals with identity covariance; the state estimate
+maximizes the mean Gaussian-kernel similarity of those residuals instead of
+minimizing their squared sum.  Large whitened residuals then receive
+exponentially small weight, which makes the update robust to impulsive
+outliers.
 
 ``C``'s diagonal is one vector ``c = kernel_weights(e, sigma)`` of length
 ``n + m``, state block first: the kernel weights of the residuals clamped
 below at `WEIGHT_FLOOR`, computed by that one function in every form of the
-fixed-point map.  The one-regression forms are algebraically equivalent:
+fixed-point map.  Every form starts from the prior mean ``x_p``, at the
+residuals ``[0 ; B_r^-1 (y - H x_p)]``.  The one-step solvers take ``(model,
+prior, y, config)`` and are algebraically equivalent:
 
 * the paper's weighted least squares ``x <- (W' C W)^-1 W' C D``, in whitened
   prior coordinates (`fixed_point_direct`, the reference engine's solve) and
-  in the state's own (`weighted_qr_map`, whose map the certificates and the
-  analytic Jacobian of `robustkf.diagnostics` study).  Both solve through one
-  row-sorted QR factor of the weighted design (`_weighted_qr_solve`), never
-  the normal equations, whose condition number is the square of the factor's;
+  in the state's own, on `build_regression`'s ``(W, D)`` (`weighted_qr_map`,
+  whose map the certificates and the analytic Jacobian of
+  `robustkf.diagnostics` study).  Both solve through one row-sorted QR factor
+  of the weighted design (`_weighted_qr_solve`), never the normal equations,
+  whose condition number is the square of the factor's;
 * a gain form that reweights the prior and measurement covariances and
   applies a Kalman-style correction (`robust_gain`, `fixed_point_iterate`).
 
 Every factorization and solve is a ``numpy.linalg`` call.
 
 With all kernel weights equal to one, the forms collapse to the ordinary
-Kalman update, and that limit is approached as the bandwidth grows.  The
-filters' one measurement update, `_filter_update`, rests on that: the KF
+Kalman update, the limit as the bandwidth grows.  The filters' one
+measurement update, `_filter_update`, rests on that: the KF
 (`robustkf.kf.kf_update`, the engine's KF) is its unit-weight case.  It runs
-on a stack of runs, one run for `mckf_step` and all of them for the batched
-Monte Carlo engine (`_filter_step`), in whitened measurement coordinates,
-where the reweighted measurement covariance is diagonal: each trip's gain
-takes the measurements one at a time (`_whitened_update`, Potter's
-square-root form), with no m x m system, and the estimate and the Joseph
-covariance, an exactly symmetric Gram product, are those of the last trip's
-gain.  The reference engine's independent implementation solves each update
-at once, by QR (`fixed_point_direct`), whitened by the same model factors.
+on a stack of runs (one for `mckf_step`, all of them for the batched Monte
+Carlo engine's `_filter_step`) in whitened measurement coordinates, where
+the reweighted measurement covariance is diagonal: each trip's gain takes
+the measurements one at a time (`_whitened_update`, Potter's square-root
+form), and the estimate and the Joseph covariance, an exactly symmetric Gram
+product, are those of the last trip's gain.  The reference engine solves
+each update at once, by QR (`fixed_point_direct`), with the same whitening.
 """
 
 from __future__ import annotations
@@ -89,35 +91,23 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class AugmentedRegression:
-    """Whitened stacked regression for one update step.
+    """Whitened stacked regression ``D = W x + e`` of one update step (`build_regression`).
 
-    ``D = W x + e`` where the first n rows whiten the prior pseudo-measurement
-    and the last m rows whiten the actual measurement: ``W`` stacks
-    ``B_p^-1`` over ``B_r^-1 H`` and ``D`` stacks ``B_p^-1 x_prior`` over
-    ``B_r^-1 y``.  ``B_p`` and ``B_r`` are the lower Cholesky factors of the
-    prior covariance and the measurement covariance.  For a singular prior,
-    ``W``'s top block inverts ``B_p`` on its nonzero columns and is zero elsewhere.
+    ``W`` stacks ``B_p^-1`` (for a singular prior, ``B_p`` inverted on its
+    nonzero columns, zero elsewhere) over the model's ``H_w = B_r^-1 H``;
+    ``D`` is ``W x_p`` plus ``B_r^-1 (y - H x_p)`` in its last m rows.
     """
 
     D: np.ndarray
     W: np.ndarray
-    B_p: np.ndarray
-    B_r: np.ndarray
-    prior_mean: np.ndarray
-    y: np.ndarray
-    H: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.B_p.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B_r.shape[0]
+        return self.W.shape[1]
 
     @property
     def L(self) -> int:
-        return self.n + self.m
+        return self.W.shape[0]
 
 
 @dataclass(frozen=True)
@@ -144,7 +134,9 @@ def gaussian_kernel(e, sigma: float):
     e = np.asarray(e, dtype=float)
     divisor = -2.0 * sigma * sigma  # the sign in the divisor: a pass fewer
     if -np.inf < divisor < 0.0:
-        out = np.exp((e * e) / divisor)
+        # exp(-746) = 0: capping e^2 at -746 divisor, exact even where 2 sigma^2
+        # is subnormal, changes no weight and keeps the quotient finite.
+        out = np.exp(np.minimum(e * e, -746.0 * float(divisor)) / divisor)
     else:  # 2 sigma^2 overflows or underflows; an overflowing (e / sigma)^2 is weight 0
         with np.errstate(over="ignore"):
             out = np.exp(-0.5 * (e / sigma) ** 2)
@@ -156,27 +148,19 @@ def build_regression(
 ) -> AugmentedRegression:
     """Whiten the stacked prior/measurement model for one step.
 
-    Factorizes ``prior.cov = B_p B_p'`` (`cholesky_stack`), takes ``R = B_r B_r'``
-    from the model, whose ``R`` was checked and factored when it was built, and
-    forms D and W by solving with those factors, ``B_p`` on its nonzero columns.
+    Checks ``prior`` and ``y`` as the steps do and factorizes ``prior.cov =
+    B_p B_p'`` (`cholesky_stack`).  As ``D`` is ``W x_p`` plus the whitened
+    innovation, the state rows of ``D - W x_p`` are exactly 0.
     """
     y = _checked_measurement(model, prior, y, "build_regression")[0]
-    b_p, b_r = cholesky_stack(prior.cov), model.B_r
+    b_p, x_p = cholesky_stack(prior.cov), prior.mean
     keep = np.flatnonzero(b_p.diagonal())
-    block, w_top, d_top = np.ix_(keep, keep), np.zeros((model.n, model.n)), np.zeros(model.n)
+    block, w_top = np.ix_(keep, keep), np.zeros((model.n, model.n))
     w_top[block] = np.linalg.solve(b_p[block], np.eye(keep.size))
-    d_top[keep] = np.linalg.solve(b_p[block], prior.mean[keep])
-    w_bot = np.linalg.solve(b_r, model.H)
-    d_bot = np.linalg.solve(b_r, y)
-    return AugmentedRegression(
-        D=np.concatenate([d_top, d_bot]),
-        W=np.vstack([w_top, w_bot]),
-        B_p=b_p,
-        B_r=b_r,
-        prior_mean=prior.mean.copy(),
-        y=y,
-        H=model.H,
-    )
+    w = np.vstack([w_top, model.H_w])
+    d = w @ x_p
+    d[model.n:] += model.B_r_inv @ (y - model.H @ x_p)
+    return AugmentedRegression(D=d, W=w)
 
 
 def compute_residuals(reg: AugmentedRegression, x: np.ndarray) -> np.ndarray:
@@ -193,14 +177,15 @@ def kernel_weights(residuals, sigma: float) -> np.ndarray:
 
 
 def robust_gain(
-    reg: AugmentedRegression, c: np.ndarray
+    model: StateSpaceModel, b_p: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gain of the reweighted update, plus the reweighted covariances.
 
     The kernel weights ``c`` (length ``n + m``, state block first) inflate
     the prior and measurement covariances where residuals are large:
-    ``P_w = B_p diag(c[:n])^-1 B_p'`` and ``R_w = B_r diag(c[n:])^-1 B_r'``.
-    The gain is the Kalman gain of the inflated pair, solved as an SPD system.
+    ``P_w = B_p diag(c[:n])^-1 B_p'`` and ``R_w = B_r diag(c[n:])^-1 B_r'``,
+    ``B_p`` a factor of the prior covariance, ``B_r`` the model's of ``R``.  The
+    gain is the Kalman gain of the inflated pair, solved as an SPD system.
     With all weights equal to one this is exactly the classic gain.  A ``c``
     whose shape is not ``(n + m,)`` raises `DimensionMismatch`.
 
@@ -208,12 +193,13 @@ def robust_gain(
     -------
     (gain, P_w, R_w)
     """
-    if np.shape(c) != (reg.L,):
-        raise DimensionMismatch(f"weights have shape {np.shape(c)}, expected ({reg.L},)")
-    p_w = (reg.B_p / c[:reg.n]) @ reg.B_p.T
-    r_w = (reg.B_r / c[reg.n:]) @ reg.B_r.T
-    s = reg.H @ p_w @ reg.H.T + r_w
-    gain = solve_spd((s + s.T) / 2.0, reg.H @ p_w).T
+    n = model.n
+    if np.shape(c) != (n + model.m,):
+        raise DimensionMismatch(f"weights have shape {np.shape(c)}, expected ({n + model.m},)")
+    p_w = (b_p / c[:n]) @ b_p.T
+    r_w = (model.B_r / c[n:]) @ model.B_r.T
+    s = model.H @ p_w @ model.H.T + r_w
+    gain = solve_spd((s + s.T) / 2.0, model.H @ p_w).T
     return gain, p_w, r_w
 
 
@@ -276,36 +262,36 @@ def _iterate(x_prev: np.ndarray, config: KernelConfig, update):
 
 
 def fixed_point_iterate(
-    reg: AugmentedRegression, config: KernelConfig
+    model: StateSpaceModel, prior: GaussianBelief, y: np.ndarray, config: KernelConfig
 ) -> tuple[np.ndarray, np.ndarray, FixedPointReport]:
     """Solve the correntropy update in gain form.
 
-    Starts from the prior mean.  Each iteration evaluates residuals at the
-    previous iterate, reweights, recomputes the gain, and applies it to the
-    (fixed) innovation.  Stops when the relative step drops to ``epsilon``
-    or the iteration cap is hit; the cap is reported via ``converged=False``
-    rather than raised, so sweeps over small bandwidths keep running.  No
-    engine runs this form, whose ``H P_w H' + R_w`` loses accuracy once
-    weights reach the floor; `fixed_point_direct` is checked against it.
+    Checks ``prior`` and ``y`` as the steps do and starts from the prior
+    mean.  Each iteration weights `build_regression`'s residuals at the
+    previous iterate, takes `robust_gain` with the `cholesky_stack` factor of
+    ``prior.cov``, and applies it to the (fixed) innovation, until `_iterate`
+    stops; the cap is reported via ``converged=False``, not raised, so sweeps
+    over small bandwidths keep running.  No engine runs this form, whose ``H
+    P_w H' + R_w`` loses accuracy once weights reach the floor;
+    `fixed_point_direct` is checked against it.
 
-    The reported count includes the first correction from the prior mean.
-    A step whose first correction is already below the stop threshold (zero
-    innovation, or in practice a measurement discarded at `WEIGHT_FLOOR`)
-    therefore reports 1 iteration.  As ``sigma`` grows, the first correction becomes the Kalman
-    update and the second only confirms it, so the count tends to 2.
-
-    Returns
-    -------
-    (x, gain, FixedPointReport)
+    Returns ``(x, gain, report)``.  The reported count includes the first
+    correction from the prior mean.  A step whose first correction is already
+    below the stop threshold (zero innovation, or in practice a measurement
+    discarded at `WEIGHT_FLOOR`) therefore reports 1 iteration.  As ``sigma``
+    grows, the first correction becomes the Kalman update and the second only
+    confirms it, so the count tends to 2.
     """
-    innovation = reg.y - reg.H @ reg.prior_mean
+    y = _checked_measurement(model, prior, y, "fixed_point_iterate")[0]
+    reg, b_p, x_p = build_regression(model, prior, y), cholesky_stack(prior.cov), prior.mean
+    innovation = y - model.H @ x_p
 
     def update(x_prev):
         c = kernel_weights(compute_residuals(reg, x_prev), config.sigma)
-        gain = robust_gain(reg, c)[0]
-        return reg.prior_mean + gain @ innovation, (gain, c)
+        gain = robust_gain(model, b_p, c)[0]
+        return x_p + gain @ innovation, (gain, c)
 
-    x, (gain, c), t, rel = _iterate(reg.prior_mean, config, update)
+    x, (gain, c), t, rel = _iterate(x_p, config, update)
     return x, gain, FixedPointReport(t, rel <= config.epsilon, c, rel)
 
 
@@ -319,11 +305,11 @@ def fixed_point_direct(
     weights the residuals ``e = [u ; nu_w - A_w u]`` of the last iterate (``u =
     0`` first) and solves the least squares of ``[I ; A_w]`` against ``[0 ;
     nu_w]``, whitened by the model: ``A_w = H_w B_p``, ``nu_w = B_r^-1 (y - H
-    x_p)``.  Its iterates ``x = x_p + B_p u`` are `fixed_point_iterate`'s on
-    `build_regression`, with the same stop rule, but unlike ``W`` this design
-    has full rank for every prior, even a singular one.  Floored state weights
-    beside a large ``A_w`` spread its rows over many decades, hence
-    `_weighted_qr_solve`'s row order.  Returns ``(x, gain, report)``, the gain
+    x_p)``.  Its iterates ``x = x_p + B_p u`` are `fixed_point_iterate`'s, from
+    the same residuals and with the same stop rule, but unlike ``W`` of
+    `build_regression` this design has full rank for every prior, even a
+    singular one.  Floored state weights beside a large ``A_w`` spread its
+    rows over many decades, hence `_weighted_qr_solve`'s row order.  Returns ``(x, gain, report)``, the gain
     ``K = B_p r^-1 q_y' C_y^½ B_r^-1``, ``q_y`` the last ``q``'s lower rows.
     """
     y = _checked_measurement(model, prior, y, "fixed_point_direct")[0]

@@ -156,12 +156,13 @@ class ExperimentConfig:
 
     ``example`` selects the system: "example1" and "example2" are
     `make_example1` and `make_example2` with their default parameters, and
-    "custom" needs ``custom_model`` and ``true_x0``.  ``noise_case`` is one
-    of `NOISE_CASES` (see `noise_specs`).  Initial conditions follow
-    the shared convention: the true state starts at ``true_x0`` exactly, the
-    estimate starts at ``true_x0`` plus an independent zero-mean Gaussian
-    perturbation of variance ``init_perturb_var`` per coordinate, and the
-    initial covariance is ``p0_scale * I``.
+    "custom" needs ``custom_model``, which no other example takes, and
+    ``true_x0``.  ``noise_case`` is one of `NOISE_CASES` (see `noise_specs`).
+    Initial conditions follow the shared convention: the true state starts at
+    ``true_x0`` exactly, the estimate starts at ``true_x0`` plus an
+    independent zero-mean Gaussian perturbation of variance
+    ``init_perturb_var`` per coordinate, and the initial covariance is
+    ``p0_scale * I``.
 
     The filters assume the total per-coordinate covariances of the active
     noise case (law of total variance), so under the heavy-tailed cases they
@@ -203,6 +204,8 @@ class ExperimentConfig:
             raise ConfigParseError("at least one filter is required")
         if self.example == "custom" and (self.custom_model is None or self.true_x0 is None):
             raise ConfigParseError("custom example requires custom_model and true_x0")
+        if self.example != "custom" and self.custom_model is not None:
+            raise ConfigParseError(f"{self.example} takes no custom_model; only custom reads it")
         object.__setattr__(self, "filters", tuple(self.filters))
         for name in ("assumed_q", "assumed_r"):
             value = getattr(self, name)

@@ -28,6 +28,7 @@ from robustkf import (
 )
 from robustkf.cli import run_cli
 from robustkf.mckf import weighted_qr_map
+from robustkf.numerics import cholesky_stack
 from conftest import induced_l1_norm, random_model, random_problem, random_regression, random_spd
 
 
@@ -82,11 +83,10 @@ def test_criterion_02_gain_form_agrees_with_direct_form_per_iterate():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 3))
         problem = random_problem(rng, n, m)
-        reg = build_regression(*problem)
         sigma = float(rng.uniform(1.0, 4.0))
         for depth in (1, 2, 3, 4, 5):
             cfg = KernelConfig(sigma=sigma, epsilon=1e-300, max_iterations=depth)
-            x_gain, _, _ = fixed_point_iterate(reg, cfg)
+            x_gain, _, _ = fixed_point_iterate(*problem, cfg)
             x_direct = fixed_point_direct(*problem, cfg)[0]
             worst = max(worst, float(np.max(np.abs(x_gain - x_direct))))
     report("2", worst <= 1e-10, f"max per-iterate gap over 100 instances: {worst:.2e}")
@@ -268,8 +268,9 @@ def test_criterion_08_certified_bandwidth_contracts():
     while certified < 25:
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
-        reg = random_regression(rng, n, m)
-        beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+        model, prior, y = random_problem(rng, n, m)
+        reg = build_regression(model, prior, y)
+        beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
         cert = sufficient_sigma(reg, beta, 0.5)
         certified += 1
         sigma = cert.sigma_min
@@ -287,7 +288,7 @@ def test_criterion_08_certified_bandwidth_contracts():
             jac_ok &= induced_l1_norm(jac) <= 0.5 + 1e-6
 
         # (b) iterate gaps halve at every step
-        x_prev = reg.prior_mean
+        x_prev = prior.mean
         x = weighted_qr_map(reg, x_prev, sigma)[0]
         gap_prev = float(np.sum(np.abs(x - x_prev)))
         for _ in range(8):
@@ -357,8 +358,9 @@ def test_criterion_10_numerics_whiteness_and_psd():
         m = int(rng.integers(1, 3))
         model = random_model(rng, n, m)
         prior = GaussianBelief(rng.standard_normal(n), random_spd(rng, n))
-        reg = build_regression(model, prior, rng.standard_normal(m))
-        b = np.block([[reg.B_p, np.zeros((n, m))], [np.zeros((m, n)), reg.B_r]])
+        build_regression(model, prior, rng.standard_normal(m))
+        b_p = cholesky_stack(prior.cov)
+        b = np.block([[b_p, np.zeros((n, m))], [np.zeros((m, n)), model.B_r]])
         block = np.block([[prior.cov, np.zeros((n, m))], [np.zeros((m, n)), model.R]])
         worst_white = max(
             worst_white,

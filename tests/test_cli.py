@@ -127,6 +127,7 @@ def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
         {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": True}]},
         {"init_perturb_var": True},
         {"p0_scale": True},
+        {"example": "example1", "custom_model": _MODEL_1X1},
     ],
 )
 def test_bad_value_in_config_file_is_config_error(tmp_path, capsys, config):

@@ -42,7 +42,7 @@ from robustkf.diagnostics import (
     _bounds,
 )
 from robustkf.mckf import WEIGHT_FLOOR, AugmentedRegression, weighted_qr_map
-from conftest import induced_l1_norm, random_regression
+from conftest import induced_l1_norm, random_problem, random_regression
 
 
 def unit_scalar_regression(x_prior=1.0, y=1.0):
@@ -96,12 +96,7 @@ def evaluable_bandwidth(reg, beta, shrink=5.0):
 
 def hand_regression(W, D):
     """A regression snapshot with a given design, two state rows first."""
-    W = np.asarray(W, dtype=float)
-    D = np.asarray(D, dtype=float)
-    m = W.shape[0] - 2
-    return AugmentedRegression(
-        D=D, W=W, B_p=np.eye(2), B_r=np.eye(m), prior_mean=np.zeros(2), y=D[2:], H=W[2:]
-    )
+    return AugmentedRegression(D=np.asarray(D, dtype=float), W=np.asarray(W, dtype=float))
 
 
 def plain_root(fn, target):
@@ -327,8 +322,9 @@ class TestSufficientSigma:
 
     def test_root_residuals(self, rng):
         for _ in range(5):
-            reg = random_regression(rng, 2, 1)
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, 2, 1)
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
             assert phi_sigma(reg, beta, cert.sigma_star) == pytest.approx(beta, rel=1e-6)
             assert psi_sigma(reg, beta, cert.sigma_dagger) == pytest.approx(0.5, rel=1e-6)
@@ -337,8 +333,9 @@ class TestSufficientSigma:
 
     def test_certified_ball_satisfies_banach_conditions(self, rng):
         for _ in range(5):
-            reg = random_regression(rng, 2, 1)
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, 2, 1)
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
             for _ in range(20):
                 # uniform direction on the l1 sphere, scaled into the ball
@@ -350,8 +347,9 @@ class TestSufficientSigma:
                 assert induced_l1_norm(jac) <= 0.5 + 1e-6
 
     def test_unique_fixed_point_under_restarts(self, rng):
-        reg = random_regression(rng, 2, 1)
-        beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+        model, prior, y = random_problem(rng, 2, 1)
+        reg = build_regression(model, prior, y)
+        beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
         cert = sufficient_sigma(reg, beta, 0.5)
         limits = []
         for _ in range(10):
@@ -371,8 +369,9 @@ class TestRootScan:
     def test_stacked_bounds_equal_public_bounds(self, rng):
         grid = _SIGMA_GRID
         for _ in range(3):
-            reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             phi, psi = _bounds(reg, _bound_parts(reg, beta), grid)
             assert np.isnan(phi).any() and np.isfinite(phi).any()
             for sigma, phi_k, psi_k in zip(grid, phi, psi):
@@ -385,8 +384,9 @@ class TestRootScan:
 
     def test_roots_equal_plain_bisection(self, rng):
         for _ in range(4):
-            reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
             assert cert.sigma_star == plain_root(lambda s: phi_sigma(reg, beta, s), beta)
             assert cert.sigma_dagger == plain_root(lambda s: psi_sigma(reg, beta, s), 0.5)
@@ -536,8 +536,9 @@ class TestRootScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(25):
-                reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-                beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+                model, prior, y = random_problem(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+                reg = build_regression(model, prior, y)
+                beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
                 sufficient_sigma(reg, beta, 0.5)
 
 
@@ -631,15 +632,7 @@ class TestJacobian:
     def test_zero_residuals_give_zero_jacobian(self, rng):
         base = random_regression(rng, 3, 2)
         x_star = rng.standard_normal(3)
-        reg = AugmentedRegression(
-            D=base.W @ x_star,
-            W=base.W,
-            B_p=base.B_p,
-            B_r=base.B_r,
-            prior_mean=x_star,
-            y=base.y,
-            H=base.H,
-        )
+        reg = AugmentedRegression(D=base.W @ x_star, W=base.W)
         jac = jacobian_f(reg, x_star, sigma=1.3)
         assert float(np.max(np.abs(jac))) <= 1e-12
 

@@ -44,6 +44,7 @@ from robustkf.mckf import (
     _whitened_update,
     weighted_qr_map,
 )
+from robustkf.numerics import cholesky_stack
 from robustkf.sim import _joseph
 from conftest import (
     correntropy_estimate,
@@ -83,6 +84,10 @@ class TestGaussianKernel:
         # Below 1.1e-162, 2 sigma^2 underflows to -0.0: e^2 / (2 sigma^2) would be 0 / 0 at e = 0.
         got = gaussian_kernel([0.0, 1e-170, 1.0, 1e300], 1e-170)
         np.testing.assert_allclose(got, [1.0, math.exp(-0.5), 0.0, 0.0], rtol=1e-15, atol=0.0)
+        # Where 2 sigma^2 is finite but e^2 / (2 sigma^2) overflows, the weight is 0, with no warning.
+        assert gaussian_kernel(1e6, 1e-150) == 0.0
+        belief, kernel = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2)), KernelConfig(1e-150, 1e-6)
+        mckf_step(make_example1(), belief, [1e6], kernel)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -141,14 +146,11 @@ class TestBuildRegression:
         prior = GaussianBelief(rng.standard_normal(2), np.eye(2))
         y = rng.standard_normal(1)
         reg = build_regression(model, prior, y)
-        np.testing.assert_allclose(reg.B_p, np.eye(2))
-        np.testing.assert_allclose(reg.B_r, np.eye(1))
         np.testing.assert_allclose(reg.W, np.vstack([np.eye(2), model.H]))
         np.testing.assert_allclose(reg.D, np.concatenate([prior.mean, y]))
 
     def test_scalar_by_hand(self):
         _, _, reg = scalar_regression(p=4.0, r=1.0, h=1.0, x_prior=2.0, y=3.0)
-        np.testing.assert_allclose(reg.B_p, [[2.0]])
         np.testing.assert_allclose(reg.W, [[0.5], [1.0]])
         np.testing.assert_allclose(reg.D, [1.0, 3.0])
 
@@ -156,14 +158,15 @@ class TestBuildRegression:
         for _ in range(25):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 4))
-            reg = random_regression(rng, n, m)
+            model, prior, y = random_problem(rng, n, m)
+            reg = build_regression(model, prior, y)
             b = np.block(
                 [
-                    [reg.B_p, np.zeros((n, m))],
-                    [np.zeros((m, n)), reg.B_r],
+                    [cholesky_stack(prior.cov), np.zeros((n, m))],
+                    [np.zeros((m, n)), model.B_r],
                 ]
             )
-            stacked = np.vstack([np.eye(n), reg.H])
+            stacked = np.vstack([np.eye(n), model.H])
             assert float(np.max(np.abs(b @ reg.W - stacked))) <= 1e-10
 
     def test_whiteness_identity(self, rng):
@@ -172,11 +175,11 @@ class TestBuildRegression:
             m = int(rng.integers(1, 4))
             model = random_model(rng, n, m)
             prior = GaussianBelief(rng.standard_normal(n), random_spd(rng, n))
-            reg = build_regression(model, prior, rng.standard_normal(m))
+            build_regression(model, prior, rng.standard_normal(m))
             b = np.block(
                 [
-                    [reg.B_p, np.zeros((n, m))],
-                    [np.zeros((m, n)), reg.B_r],
+                    [cholesky_stack(prior.cov), np.zeros((n, m))],
+                    [np.zeros((m, n)), model.B_r],
                 ]
             )
             block = np.block(
@@ -193,6 +196,14 @@ class TestResidualsAndWeights:
     def test_scalar_residuals_by_hand(self):
         _, _, reg = scalar_regression(p=4.0, r=1.0, h=1.0, x_prior=2.0, y=3.0)
         np.testing.assert_allclose(compute_residuals(reg, np.array([2.0])), [0.0, 1.0])
+
+    def test_state_residuals_at_the_prior_mean_are_zero(self, rng):
+        # D - W x_p is [0 ; B_r^-1 (y - H x_p)], the residuals every form starts from.
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            model, prior, y = random_problem(rng, n, int(rng.integers(1, n + 1)))
+            reg = build_regression(model, prior, y)
+            assert not compute_residuals(reg, prior.mean)[:n].any()
 
     def test_zero_candidate_gives_observation_stack(self, rng):
         reg = random_regression(rng, 3, 2)
@@ -220,24 +231,25 @@ class TestRobustGain:
         model = random_model(rng, 3, 2)
         prior = GaussianBelief(rng.standard_normal(3), random_spd(rng, 3))
         y = rng.standard_normal(2)
-        reg = build_regression(model, prior, y)
-        gain, p_w, r_w = robust_gain(reg, kernel_weights(np.zeros(5), 1.0))
+        c = kernel_weights(np.zeros(5), 1.0)
+        gain, p_w, r_w = robust_gain(model, cholesky_stack(prior.cov), c)
         np.testing.assert_allclose(p_w, prior.cov, atol=1e-12)
         np.testing.assert_allclose(r_w, model.R, atol=1e-12)
         _, classic = kf_update(model, prior, y)
         np.testing.assert_allclose(gain, classic, atol=1e-10)
 
     def test_scalar_by_hand(self):
-        _, _, reg = scalar_regression(p=1.0, r=1.0, h=1.0)
+        model, prior, _ = scalar_regression(p=1.0, r=1.0, h=1.0)
         c = kernel_weights(np.array([0.0, math.sqrt(2.0 * math.log(2.0))]), 1.0)
-        gain, p_w, r_w = robust_gain(reg, c)
+        gain, p_w, r_w = robust_gain(model, cholesky_stack(prior.cov), c)
         assert p_w[0, 0] == pytest.approx(1.0)
         assert r_w[0, 0] == pytest.approx(2.0)
         assert gain[0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_fully_distrusted_measurement_kills_gain(self):
-        _, _, reg = scalar_regression(p=1.0, r=1.0, h=1.0)
-        gain, _, _ = robust_gain(reg, kernel_weights(np.array([0.0, 1e9]), 1.0))
+        model, prior, _ = scalar_regression(p=1.0, r=1.0, h=1.0)
+        c = kernel_weights(np.array([0.0, 1e9]), 1.0)
+        gain, _, _ = robust_gain(model, cholesky_stack(prior.cov), c)
         assert abs(gain[0, 0]) <= 1e-6
 
     @pytest.mark.parametrize("extra", [-3, 1], ids=["length-1", "length-L+1"])
@@ -247,7 +259,7 @@ class TestRobustGain:
         prior = GaussianBelief(rng.standard_normal(3), random_spd(rng, 3))
         reg = build_regression(model, prior, rng.standard_normal(1))
         with pytest.raises(DimensionMismatch):
-            robust_gain(reg, np.full(reg.L + extra, 0.5))
+            robust_gain(model, cholesky_stack(prior.cov), np.full(reg.L + extra, 0.5))
 
 
 def test_every_form_floors_the_weights_alike():
@@ -255,11 +267,12 @@ def test_every_form_floors_the_weights_alike():
     from `kernel_weights`: the same vector bit for bit, the outlier's at the floor."""
     model, sigma, prior = make_example1(), 2.0, GaussianBelief(np.zeros(2), np.eye(2))
     reg = build_regression(model, prior, [1e6])
-    c = kernel_weights(compute_residuals(reg, reg.prior_mean), sigma)
+    c = kernel_weights(compute_residuals(reg, prior.mean), sigma)
     assert c[-1] == WEIGHT_FLOOR
-    np.testing.assert_array_equal(weighted_qr_map(reg, reg.prior_mean, sigma)[2], c)
+    np.testing.assert_array_equal(weighted_qr_map(reg, prior.mean, sigma)[2], c)
     kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=1)
-    np.testing.assert_array_equal(fixed_point_iterate(reg, kernel)[2].final_weights, c)
+    report = fixed_point_iterate(model, prior, [1e6], kernel)[2]
+    np.testing.assert_array_equal(report.final_weights, c)
     _, report = mckf_step(model, prior, [1e6], kernel)
     assert report.final_weights.shape == (model.n + model.m,)
 
@@ -268,8 +281,9 @@ class TestFixedPoint:
     def test_zero_innovation_converges_immediately(self, rng):
         model = random_model(rng, 2, 1)
         prior = GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
-        reg = build_regression(model, prior, model.H @ prior.mean)
-        x, _, report = fixed_point_iterate(reg, KernelConfig(sigma=2.0, epsilon=1e-6))
+        x, _, report = fixed_point_iterate(
+            model, prior, model.H @ prior.mean, KernelConfig(sigma=2.0, epsilon=1e-6)
+        )
         np.testing.assert_array_equal(x, prior.mean)
         assert report.iterations == 1
         assert report.converged
@@ -280,8 +294,8 @@ class TestFixedPoint:
         # iteration only confirms it.
         model = random_model(rng, 2, 1)
         prior = GaussianBelief(rng.standard_normal(2), random_spd(rng, 2))
-        reg = build_regression(model, prior, model.H @ prior.mean + 1.0)
-        _, _, report = fixed_point_iterate(reg, KernelConfig(sigma=1e8, epsilon=1e-6))
+        y = model.H @ prior.mean + 1.0
+        _, _, report = fixed_point_iterate(model, prior, y, KernelConfig(sigma=1e8, epsilon=1e-6))
         assert report.iterations == 2
         assert report.converged
 
@@ -289,16 +303,15 @@ class TestFixedPoint:
         model = make_example1()
         prior = GaussianBelief(rng.standard_normal(2), random_spd(rng, 2, 0.1))
         y = model.H @ prior.mean + 0.3
-        reg = build_regression(model, prior, y)
-        x, _, _ = fixed_point_iterate(reg, KernelConfig(sigma=1e8, epsilon=1e-12))
+        x, _, _ = fixed_point_iterate(model, prior, y, KernelConfig(sigma=1e8, epsilon=1e-12))
         post, _ = kf_update(model, prior, y)
         scale = 1.0 + float(np.max(np.abs(post.mean)))
         assert float(np.max(np.abs(x - post.mean))) <= 1e-8 * scale
 
     def test_outlier_is_shrunk_and_forms_agree(self):
-        model, prior, reg = scalar_regression(p=1.0, r=0.01, h=1.0, x_prior=0.0, y=10.0)
+        model, prior, _ = scalar_regression(p=1.0, r=0.01, h=1.0, x_prior=0.0, y=10.0)
         config = KernelConfig(sigma=2.0, epsilon=1e-6)
-        x_gain, _, _ = fixed_point_iterate(reg, config)
+        x_gain, _, _ = fixed_point_iterate(model, prior, [10.0], config)
         x_direct = fixed_point_direct(model, prior, [10.0], config)[0]
         post, _ = kf_update(model, prior, [10.0])
         assert abs(x_gain[0]) < abs(post.mean[0])
@@ -323,9 +336,10 @@ class TestFixedPoint:
         model = StateSpaceModel(F=example2.F, H=example2.H, Q=np.zeros((3, 3)), R=example2.R)
         prior = GaussianBelief([0.0, 0.0, 1.0], p)
         reg = build_regression(model, prior, [0.52])
+        assert not compute_residuals(reg, prior.mean)[:3].any()
         config = KernelConfig(sigma=2.0, epsilon=1e-6)
         x, gain, report = fixed_point_direct(model, prior, [0.52], config)
-        x_ref, gain_ref, report_ref = fixed_point_iterate(reg, config)
+        x_ref, gain_ref, report_ref = fixed_point_iterate(model, prior, [0.52], config)
         np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(gain, gain_ref, rtol=0.0, atol=1e-15)
         assert report.iterations == report_ref.iterations == iterations
@@ -335,10 +349,9 @@ class TestFixedPoint:
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 4))
             problem = random_problem(rng, n, m)
-            reg = build_regression(*problem)
             for depth in (1, 2, 3, 4):
                 config = KernelConfig(sigma=1.5, epsilon=1e-300, max_iterations=depth)
-                x_gain, _, _ = fixed_point_iterate(reg, config)
+                x_gain, _, _ = fixed_point_iterate(*problem, config)
                 x_direct = fixed_point_direct(*problem, config)[0]
                 assert float(np.max(np.abs(x_gain - x_direct))) <= 1e-10
 
@@ -396,22 +409,24 @@ class TestMckfStep:
         for _ in range(total):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 3))
-            reg = random_regression(rng, n, m)
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, n, m)
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
             config = KernelConfig(sigma=cert.sigma_min, epsilon=1e-10)
-            x, _, _ = fixed_point_iterate(reg, config)
-            before = correntropy_estimate(compute_residuals(reg, reg.prior_mean), cert.sigma_min)
+            x, _, _ = fixed_point_iterate(model, prior, y, config)
+            before = correntropy_estimate(compute_residuals(reg, prior.mean), cert.sigma_min)
             after = correntropy_estimate(compute_residuals(reg, x), cert.sigma_min)
             wins += after >= before - 1e-12
         assert wins >= 99
 
     def test_contraction_of_iterate_gaps_on_certified_instances(self, rng):
         for _ in range(10):
-            reg = random_regression(rng, 2, 1)
-            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(reg.prior_mean))))
+            model, prior, y = random_problem(rng, 2, 1)
+            reg = build_regression(model, prior, y)
+            beta = 2.0 * max(zeta(reg), float(np.sum(np.abs(prior.mean))))
             cert = sufficient_sigma(reg, beta, 0.5)
-            x_prev = reg.prior_mean
+            x_prev = prior.mean
             x = weighted_qr_map(reg, x_prev, cert.sigma_min)[0]
             gap_prev = float(np.sum(np.abs(x - x_prev)))
             for _ in range(6):
@@ -485,6 +500,10 @@ def _direct_solve(model, belief, y):
     return fixed_point_direct(model, belief, y, KernelConfig(sigma=2.0, epsilon=1e-6))
 
 
+def _gain_solve(model, belief, y):
+    return fixed_point_iterate(model, belief, y, KernelConfig(sigma=2.0, epsilon=1e-6))
+
+
 @pytest.mark.parametrize(
     "mean, y, error, check",
     [
@@ -493,6 +512,8 @@ def _direct_solve(model, belief, y):
         ([0.0, 0.0, 0.0], [1.0], DimensionMismatch, build_regression),
         ([0.0, 0.0], [np.nan], NonFinite, _direct_solve),
         ([0.0, 0.0, 0.0], [1.0], DimensionMismatch, _direct_solve),
+        ([0.0, 0.0], [np.nan], NonFinite, _gain_solve),
+        ([0.0, 0.0], [1.0, 2.0], DimensionMismatch, _gain_solve),
     ],
     # The first three ids are those of the rows before the direct form's.
     ids=[
@@ -501,6 +522,8 @@ def _direct_solve(model, belief, y):
         "mean2-y2-DimensionMismatch",
         "fixed_point_direct-NonFinite",
         "fixed_point_direct-DimensionMismatch",
+        "fixed_point_iterate-NonFinite",
+        "fixed_point_iterate-DimensionMismatch",
     ],
 )
 def test_build_regression_checks_inputs_like_the_steps(mean, y, error, check):
@@ -509,13 +532,13 @@ def test_build_regression_checks_inputs_like_the_steps(mean, y, error, check):
         check(make_example1(), belief, y)
 
 
-def _reference_trips(model, reg, kernel, iterations):
+def _reference_trips(model, prior, y, kernel, iterations):
     """Relative steps of a reference solve's iterations, and the largest
     condition number of their ``S = H P_w H' + R_w``."""
     rels, worst = [], 1.0
     for k in range(1, iterations + 1):
-        report = fixed_point_iterate(reg, replace(kernel, max_iterations=k))[2]
-        _, p_w, r_w = robust_gain(reg, report.final_weights)
+        report = fixed_point_iterate(model, prior, y, replace(kernel, max_iterations=k))[2]
+        _, p_w, r_w = robust_gain(model, cholesky_stack(prior.cov), report.final_weights)
         rels.append(report.last_relative_step)
         worst = max(worst, np.linalg.cond(model.H @ p_w @ model.H.T + r_w))
     return np.array(rels), worst
@@ -567,15 +590,14 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
         model, kernel, belief.mean[None], belief.cov[None], y[None], iters
     )
     prior = kf_predict(model, belief)
-    reg = build_regression(model, prior, y)
-    x_ref, gain_ref, report = fixed_point_iterate(reg, kernel)
-    rels, cond = _reference_trips(model, reg, kernel, report.iterations)
+    x_ref, gain_ref, report = fixed_point_iterate(model, prior, y, kernel)
+    rels, cond = _reference_trips(model, prior, y, kernel, report.iterations)
     slack = 10.0 * cond * eps
     if np.all(np.abs(rels - kernel.epsilon) > slack):
         assert (int(iters[0]), capped.size == 0) == (report.iterations, report.converged)
     scale = max(1.0, np.abs(x_ref).max(), np.abs(y).max())
     np.testing.assert_allclose(x[0], x_ref, rtol=0.0, atol=1e-9 + slack * scale)
-    p_ref = _joseph(model, reg.B_p, gain_ref)
+    p_ref = _joseph(model, cholesky_stack(prior.cov), gain_ref)
     np.testing.assert_allclose(p[0], p_ref, rtol=1e-9, atol=(1e-12 + slack) * np.abs(p_ref).max())
 
 
@@ -584,11 +606,10 @@ def test_scalar_forms_raise_diverged_on_an_overflowing_iterate():
     # correction, about y / H = 1.7e318, overflows in both forms.
     model = StateSpaceModel(F=[[1.0]], H=[[1e-10]], Q=[[1.0]], R=[[1.0]])
     prior, y = GaussianBelief([0.0], [[1e30]]), [1.7e308]
-    reg = build_regression(model, prior, y)
     kernel = KernelConfig(sigma=2.0, epsilon=1e-6)
-    for solve, problem in ((fixed_point_iterate, (reg,)), (fixed_point_direct, (model, prior, y))):
+    for solve in (fixed_point_iterate, fixed_point_direct):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="iterate 1 "):
-            solve(*problem, kernel)
+            solve(model, prior, y, kernel)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -616,14 +637,13 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
     y = model.H @ prior.mean + rng.standard_normal(m)
     weights = rng.uniform(0.01, 1.0, n + m) if unfloored == "uniform" else np.ones(n + m)
     c = np.where(rng.random(n + m) < 0.4, WEIGHT_FLOOR, weights)
-    reg = build_regression(model, prior, y)
-    innovation = y - model.H @ prior.mean
-    a_w, nu_w = model.H_w @ reg.B_p, model.B_r_inv @ innovation
+    b_p, innovation = cholesky_stack(prior.cov), y - model.H @ prior.mean
+    a_w, nu_w = model.H_w @ b_p, model.B_r_inv @ innovation
     u = _whitened_update(a_w[None], 1.0 / c[None])[0] @ nu_w
     u_qr = _weighted_qr_solve(np.vstack([np.eye(n), a_w]), np.r_[np.zeros(n), nu_w], c)[0]
-    x_ref = prior.mean + robust_gain(reg, c)[0] @ innovation
+    x_ref = prior.mean + robust_gain(model, b_p, c)[0] @ innovation
     with mpmath.workdps(50):
-        b_p, b_r, h = (mpmath.matrix(a) for a in (reg.B_p, model.B_r, model.H))
+        b_p, b_r, h = (mpmath.matrix(a) for a in (b_p, model.B_r, model.H))
         nu_exact = mpmath.lu_solve(b_r, mpmath.matrix(innovation))
         u_exact = exact_whitened_update(mpmath.inverse(b_r) * h * b_p, nu_exact, c)
         error = float(mpmath.norm(mpmath.matrix(u) - u_exact))

@@ -19,7 +19,6 @@ from robustkf import (
     GaussianBelief,
     KernelConfig,
     StateSpaceModel,
-    build_regression,
     error_density,
     fixed_point_iterate,
     generate_run_data,
@@ -327,8 +326,16 @@ class TestRunMonteCarlo:
             lambda: small_config(example="example3"),
             lambda: small_config(filters=()),
             lambda: run_monte_carlo(small_config(), engine="fast"),
+            lambda: small_config(custom_model=make_example2()),
         ],
-        ids=["kf-with-kernel", "mckf-without-kernel", "unknown-example", "no-filters", "unknown-engine"],
+        ids=[
+            "kf-with-kernel",
+            "mckf-without-kernel",
+            "unknown-example",
+            "no-filters",
+            "unknown-engine",
+            "custom-model-of-a-named-example",
+        ],
     )
     def test_bad_config_is_rejected(self, build):
         with pytest.raises(ConfigParseError):
@@ -412,15 +419,8 @@ ENGINE_CASES = {
         runs=20,
         steps=30,
     ),
-}
-
-#: `ENGINE_CASES`, and configs whose x-space gain form is no oracle of the step.
-AGREEMENT_CASES = {
-    **ENGINE_CASES,
     # A bandwidth whose 2 sigma^2 underflows to -0.0: the kernel must take
     # exp(-(e / sigma)^2 / 2), or a zero residual's weight is 0 / 0 = NaN.
-    # The gain form's state residuals at the prior mean are rounding, not 0,
-    # so its first weights are floored where the whitened forms' are 1.
     "vanishing-bandwidth": dict(
         runs=10,
         filters=(FilterSpec("mckf", KernelConfig(sigma=1e-170, epsilon=1e-6)),),
@@ -429,9 +429,9 @@ AGREEMENT_CASES = {
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("case", AGREEMENT_CASES)
+    @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_matches_reference_engine(self, case):
-        config = small_config(**AGREEMENT_CASES[case])
+        config = small_config(**ENGINE_CASES[case])
         fast = run_monte_carlo(config, engine="batched", collect_covariances=True)
         slow = run_monte_carlo(config, engine="reference", collect_covariances=True)
         np.testing.assert_allclose(fast.errors, slow.errors, rtol=0.0, atol=1e-9)
@@ -503,8 +503,7 @@ class TestBatchedEngine:
             est = np.empty_like(data.truths)
             iters = np.empty(config.steps, dtype=result.iterations.dtype)
             for k, y in enumerate(data.measurements):
-                reg = build_regression(fmodel, kf_predict(fmodel, belief), y)
-                _, _, oracle = fixed_point_iterate(reg, kernel)
+                _, _, oracle = fixed_point_iterate(fmodel, kf_predict(fmodel, belief), y, kernel)
                 belief, report = mckf_step(fmodel, belief, y, kernel)
                 est[k], iters[k] = belief.mean, report.iterations
                 assert (report.iterations, report.converged) == (oracle.iterations, oracle.converged)
