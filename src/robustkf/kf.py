@@ -48,5 +48,5 @@ def kf_update(
     Returns ``(posterior, gain)``, the gain an n x m matrix.
     """
     y = _checked_measurement(model, prior, y, "kf_update")
-    x, p, k_r, _ = _filter_update(model, None, prior.mean[None], prior.cov[None], y, None)
+    x, p, _, k_r = _filter_update(model, None, prior.mean[None], prior.cov[None], y)
     return GaussianBelief._from_filter(x[0], p[0]), k_r[0] @ model.B_r_inv

@@ -42,6 +42,7 @@ each update at once, by QR (`fixed_point_direct`), with the same whitening.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -112,8 +113,9 @@ class AugmentedRegression:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Outcome of one fixed-point solve.
+    """Outcome of one fixed-point solve, or per-run arrays of an engine step's solves.
 
+    An engine step (`_filter_step`, `robustkf.sim._reference_step`) stacks a row per run.
     ``iterations`` counts every gain computed, the first correction from the
     prior mean included (see `fixed_point_iterate`), so it is always >= 1.
     ``final_weights`` is the `kernel_weights` vector ``c`` of the last
@@ -131,12 +133,16 @@ def gaussian_kernel(e, sigma: float):
     """Gaussian kernel ``exp(-e^2 / (2 sigma^2))``, elementwise on arrays."""
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be > 0, got {sigma}")
-    e = np.asarray(e, dtype=float)
+    e, sigma = np.asarray(e, dtype=float), float(sigma)  # float arithmetic: no overflow warning
     divisor = -2.0 * sigma * sigma  # the sign in the divisor: a pass fewer
-    if -np.inf < divisor < 0.0:
-        # exp(-746) = 0: capping e^2 at -746 divisor, exact even where 2 sigma^2
-        # is subnormal, changes no weight and keeps the quotient finite.
-        out = np.exp(np.minimum(e * e, -746.0 * float(divisor)) / divisor)
+    if -math.inf < divisor and -747.0 * divisor == math.inf:
+        # An e^2 that overflows may have weight > 0: scale e and 2 sigma^2, exactly.
+        e, divisor = e * 2.0**-513, divisor * 2.0**-1026
+    if -math.inf < divisor < 0.0:
+        # exp(-746) = 0: capping |e| at the root of -747 divisor, whose square is at
+        # least -746 divisor even where 2 sigma^2 is subnormal, changes no weight
+        # and keeps e^2 and the quotient finite.
+        out = np.exp(np.square(np.minimum(np.abs(e), math.sqrt(-747.0 * divisor))) / divisor)
     else:  # 2 sigma^2 overflows or underflows; an overflowing (e / sigma)^2 is weight 0
         with np.errstate(over="ignore"):
             out = np.exp(-0.5 * (e / sigma) ** 2)
@@ -367,7 +373,7 @@ def _whitened_update(a_w, w_inv):
     return k_u
 
 
-def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
+def _fixed_point(kernel, a_w, b_p, x_pred, nu_w):
     """Fixed-point solve of the correntropy update of every run of a stack.
 
     Iterates ``u = B_p^-1 (x - x_pred)`` in whitened measurement coordinates,
@@ -378,14 +384,13 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
     x_pred + B_p u``, the iterates of `fixed_point_iterate`.  The trips work on
     the runs still iterating, compacted with ``take``; a run leaves when its
     relative step is at most ``epsilon`` or NaN, or at the cap, and only then
-    are its weights, ``K_u``, relative step and count (added to ``iters``)
-    written.  Returns those ``(weights, K_u, last_rel, capped)``, ``capped``
-    the indices of the runs that hit the cap (not those that converge on the
-    last permitted trip).
+    are its ``K_u``, weights, relative step and count written.  Returns ``(K_u,
+    report)``, the `FixedPointReport` of per-run arrays; a run converged
+    unless it hit the cap (converging on the last permitted trip counts).
     """
     (runs, n), m = x_pred.shape, nu_w.shape[1]
     weights, k_u = np.empty((runs, n + m)), np.empty((runs, n, m))
-    last_rel, active = np.empty(runs), np.arange(runs)
+    count, last_rel, active = np.empty(runs, dtype=int), np.empty(runs), np.arange(runs)
     e, x_old = np.concatenate([np.zeros((runs, n)), nu_w], axis=1), x_pred
     for t in range(1, kernel.max_iterations + 1):
         c = kernel_weights(e, kernel.sigma)
@@ -402,18 +407,16 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters):
             (out,), (keep,) = (~going).nonzero(), going.nonzero()
             leave = active.take(out)
             weights[leave], k_u[leave] = c.take(out, axis=0), k.take(out, axis=0)
-            last_rel[leave] = rel.take(out)
-            iters[leave] += t
+            last_rel[leave], count[leave] = rel.take(out), t
             active, a_w, b_p, x_pred, nu_w, e, x_new = (
                 v.take(keep, axis=0) for v in (active, a_w, b_p, x_pred, nu_w, e, x_new)
             )
         x_old = x_new
-    weights[active], k_u[active], last_rel[active] = c, k, rel
-    iters[active] += t
-    return weights, k_u, last_rel, active[going]
+    weights[active], k_u[active], last_rel[active], count[active] = c, k, rel, t
+    return k_u, FixedPointReport(count, ~(last_rel > kernel.epsilon), weights, last_rel)
 
 
-def _filter_update(model, kernel, x_pred, p_pred, y, iters):
+def _filter_update(model, kernel, x_pred, p_pred, y):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
     Both filters whiten the measurement once (``B_p = chol(P_pred)``, the
@@ -434,8 +437,8 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     makes a BLAS call per run), matrix products stacked ``@``, though for
     ``H_w @ B_p`` (n = 2, m = 1) ``einsum`` takes 4.0 µs against 1.9 at 1
     run, 8.8 against 9.7 at 100 and 47 against 130 at 4000.
-    Returns ``(x, P, K_r, fixed_point)``: ``fixed_point`` is `_fixed_point`'s
-    ``(weights, last_rel, capped)``, or ``None`` for the KF.
+    Returns ``(x, P, report, K_r)``: ``report`` is `_fixed_point`'s, or ``None``
+    for the KF.
     """
     (runs, n), m = p_pred.shape[:2], model.m
     innovation = y - np.einsum("ij,rj->ri", model.H, x_pred)
@@ -443,21 +446,21 @@ def _filter_update(model, kernel, x_pred, p_pred, y, iters):
     a_w = model.H_w @ b_p
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
     if kernel is None:
-        k_u, fixed_point = _whitened_update(a_w, np.ones((runs, n + m))), None
+        k_u, report = _whitened_update(a_w, np.ones((runs, n + m))), None
     else:
-        weights, k_u, last_rel, capped = _fixed_point(kernel, a_w, b_p, x_pred, nu_w, iters)
-        fixed_point = (weights, last_rel, capped)
+        k_u, report = _fixed_point(kernel, a_w, b_p, x_pred, nu_w)
     k_r = b_p @ k_u
     x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
     g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
-    return x, g @ np.ascontiguousarray(_mT(g)), k_r, fixed_point
+    return x, g @ np.ascontiguousarray(_mT(g)), report, k_r
 
 
-def _filter_step(model, kernel, x, p, y, iters):
-    """One predict/update cycle of a stack of runs (see `_filter_update`)."""
+def _filter_step(model, kernel, x, p, y):
+    """One predict/update cycle of a stack of runs, ``(x, P) -> (x, P, report)``
+    (see `_filter_update`): the batched Monte Carlo engine's step."""
     x_pred = np.einsum("ij,rj->ri", model.F, x)
     p_pred = model.F @ p @ model.F_T + model.Q
-    return _filter_update(model, kernel, x_pred, p_pred, y, iters)
+    return _filter_update(model, kernel, x_pred, p_pred, y)[:3]
 
 
 def _checked_measurement(model: StateSpaceModel, belief: GaussianBelief, y, name: str):
@@ -494,9 +497,7 @@ def mckf_step(
     must be finite, and is PSD by construction (`GaussianBelief._from_filter`).
     """
     y = _checked_measurement(model, posterior_prev, y, "mckf_step")
-    iters = np.zeros(1, dtype=np.int32)
-    x, p, _, (weights, last_rel, capped) = _filter_step(
-        model, config, posterior_prev.mean[None], posterior_prev.cov[None], y, iters
-    )
-    report = FixedPointReport(int(iters[0]), capped.size == 0, weights[0], float(last_rel[0]))
+    x, p, r = _filter_step(model, config, posterior_prev.mean[None], posterior_prev.cov[None], y)
+    count, rel = int(r.iterations[0]), float(r.last_relative_step[0])
+    report = FixedPointReport(count, bool(r.converged[0]), r.final_weights[0], rel)
     return GaussianBelief._from_filter(x[0], p[0]), report

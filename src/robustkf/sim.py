@@ -24,22 +24,22 @@ stacked operations, so the run's estimates, iteration counts, cap hits and
 covariances are bit-identical whatever the number of runs, and whichever
 other runs are still iterating beside it.
 
-One loop in `run_monte_carlo` fills the results; an engine is only the
-step it calls, and both give the same numbers.  The ``batched`` step (the
-default) advances all runs at once through the filters' stacked step,
-`robustkf.mckf._filter_step`, which `mckf_step` runs for a single run, as
-`kf_update` runs its `_filter_update`; its fixed-point solve works only on
-the runs still iterating.
-Its KF carries one covariance for all runs: ``P`` and the gain follow the
-Riccati recursion, which reads no measurements, from the same ``p0`` in
-every run, so the one ``(1, n, n)`` track is bit for bit every run's ``P``.
-The independent ``reference`` step advances one run at a time through
-`kf_predict`, a gain (the KF's textbook ``P H' (H P H' + R)^-1``, the
-MCKF's from `fixed_point_direct` on the model, the prior and the
-measurement: the paper's weighted least squares in whitened prior
-coordinates, by QR) and the Joseph covariance of that gain, which it writes
-in its own code as a Gram product, as the batched step does.  The loop
-marks a run whose numbers overflow failed; it does not stop the experiment.
+One loop in `run_monte_carlo` fills the results; an engine is only the step
+it calls, ``(x, P) -> (x, P, report)``, and both give the same numbers.
+The ``batched`` step (the default) advances all runs at once through the
+filters' stacked step, `robustkf.mckf._filter_step`, which `mckf_step` runs
+for a single run, as `kf_update` runs its `_filter_update`; its fixed-point
+solve works only on the runs still iterating.  Its KF carries one
+covariance for all runs: ``P`` and the gain follow the Riccati recursion,
+which reads no measurements, from the same ``p0`` in every run, so the one
+``(1, n, n)`` track is bit for bit every run's ``P``.  The independent
+``reference`` step advances one run at a time through `kf_predict`, a gain
+(the KF's textbook ``P H' (H P H' + R)^-1``, the MCKF's from
+`fixed_point_direct` on the model, the prior and the measurement: the
+paper's weighted least squares in whitened prior coordinates, by QR) and
+the Joseph covariance of that gain, which it writes in its own code as a
+Gram product, as the batched step does.  The loop marks a run whose numbers
+overflow failed; it does not stop the experiment.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
 from .kf import kf_predict
-from .mckf import KernelConfig, _filter_step, fixed_point_direct
+from .mckf import FixedPointReport, KernelConfig, _filter_step, fixed_point_direct
 from .model import (
     GaussianBelief,
     MixtureNoiseSpec,
@@ -380,8 +380,9 @@ def _joseph(model, b_p, gain):
     return g @ g.T
 
 
-def _reference_step(model, kernel, x, p, y, iters):
-    """One step of every run, a run at a time; ``kernel is None`` is the KF.
+def _reference_step(model, kernel, x, p, y):
+    """One step of every run, a run at a time, ``(x, P) -> (x, P, report)``;
+    ``kernel is None`` is the KF.
 
     Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``, a
     gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph` of
@@ -390,32 +391,26 @@ def _reference_step(model, kernel, x, p, y, iters):
     `fixed_point_direct(model, prior, y, kernel)`, which whitens with the
     model's factors and builds no x-space regression.  A run that raises a
     `RobustKFError` (a failed run's NaN estimate does) is NaN after the step,
-    so it stays failed.  ``capped`` lists the runs that hit the cap.
+    so it stays failed.  ``report`` stacks the runs' `FixedPointReport`s as
+    `_filter_step`'s (a run that raised before its solve: 0 iterations,
+    converged, NaN weights and step); the KF's is ``None``.
     """
     x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
-    capped = []
-    for run in range(x.shape[0]):
+    reports = [FixedPointReport(0, True, np.full(model.n + model.m, np.nan), np.nan)] * len(x)
+    for run in range(len(x)):
         try:
             prior = kf_predict(model, GaussianBelief(x[run], p[run]))
             if kernel is None:
                 hp = model.H @ prior.cov
                 gain = solve_spd(hp @ model.H.T + model.R, hp).T
             else:
-                _, gain, report = fixed_point_direct(model, prior, y[run], kernel)
-                iters[run] = report.iterations
-                if not report.converged:
-                    capped.append(run)
+                _, gain, reports[run] = fixed_point_direct(model, prior, y[run], kernel)
             x_new[run] = prior.mean + gain @ (y[run] - model.H @ prior.mean)
             p_new[run] = _joseph(model, cholesky_stack(prior.cov), gain)
         except RobustKFError:
             x_new[run] = np.nan
-    return x_new, p_new, capped
-
-
-def _batched_step(model, kernel, x, p, y, iters):
-    """`_filter_step` over all runs, returning ``(x, p, capped)``."""
-    x, p, _, fixed_point = _filter_step(model, kernel, x, p, y, iters)
-    return x, p, [] if fixed_point is None else fixed_point[2]
+    columns = (np.array([getattr(r, f.name) for r in reports]) for f in fields(FixedPointReport))
+    return x_new, p_new, None if kernel is None else FixedPointReport(*columns)
 
 
 def run_monte_carlo(
@@ -426,9 +421,10 @@ def run_monte_carlo(
     """Run the full experiment described by ``config``.
 
     The only loop over time steps: per filter, it calls the engine's step
-    ``(x, p, y, iters) -> (x, p, capped)`` on all runs once per step and
-    writes estimates, iteration counts, cap hits and covariances straight
-    into the results.  A run fails when its estimate is not finite; its
+    ``(x, p) -> (x, p, report)`` on all runs and the step's measurements once
+    per step, and is the only writer of the results: estimates, covariances
+    and, from the per-run `FixedPointReport` (``None`` for the KF), iteration
+    counts and cap hits.  A run fails when its estimate is not finite; its
     errors and covariances are then NaN and its iteration counts zero.
     The batched KF steps one ``(1, n, n)`` covariance, the same for every
     run (see the module docstring), and its gain broadcasts over the runs.
@@ -449,7 +445,7 @@ def run_monte_carlo(
     fmodel = config.filter_model()
     runs, steps, n = config.runs, config.steps, model.n
     nfilters = len(config.filters)
-    step = _batched_step if engine == "batched" else _reference_step
+    step = _filter_step if engine == "batched" else _reference_step
 
     errors = np.empty((nfilters, runs, steps, n))
     iterations = np.zeros((nfilters, runs, steps), dtype=np.int32)
@@ -466,9 +462,10 @@ def run_monte_carlo(
             shared = engine == "batched" and spec.kernel is None
             x, p = x0_hats, p0s[:1] if shared else p0s
             for k in range(steps):
-                x, p, capped = step(fmodel, spec.kernel, x, p, ys[:, k], iterations[fi, :, k])
-                if len(capped):
-                    nonconverged[fi, capped] += 1
+                x, p, report = step(fmodel, spec.kernel, x, p, ys[:, k])
+                if report is not None:
+                    iterations[fi, :, k] = report.iterations
+                    nonconverged[fi] += ~report.converged
                 errors[fi, :, k] = x
                 if collect_covariances:
                     covariances[fi, :, k] = p

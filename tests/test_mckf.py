@@ -88,6 +88,14 @@ class TestGaussianKernel:
         assert gaussian_kernel(1e6, 1e-150) == 0.0
         belief, kernel = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2)), KernelConfig(1e-150, 1e-6)
         mckf_step(make_example1(), belief, [1e6], kernel)
+        # Above 1.3e154, e^2 overflows: the weight is 0 at a small bandwidth,
+        # with no warning, and exp(-(e / sigma)^2 / 2) where 2 sigma^2 is finite
+        # but 1494 sigma^2 is not.
+        assert gaussian_kernel(1e160, 2.0) == 0.0
+        mckf_step(make_example1(), belief, [1e160], KernelConfig(2.0, 1e-6))
+        for e, sigma in ((2e154, 9e153), (1.4e154, 5e153)):
+            want = math.exp(-0.5 * (e / sigma) ** 2)
+            np.testing.assert_allclose(gaussian_kernel(e, sigma), want, rtol=1e-15, atol=0.0)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -575,26 +583,23 @@ def test_whitened_update_matches_the_regression_form(seed, dims, sigma, cap):
     kernel = KernelConfig(sigma=sigma, epsilon=1e-6, max_iterations=cap)
     x_pred = rng.standard_normal(n)
     y = H @ x_pred + b_r @ rng.standard_normal(m) * 10.0 ** rng.uniform(0.0, 2.0)
-    k_r, fixed_point = _filter_update(
-        model, kernel, x_pred[None], (b_p @ b_p.T)[None], y[None], np.zeros(1, np.int32)
+    fixed_point, k_r = _filter_update(
+        model, kernel, x_pred[None], (b_p @ b_p.T)[None], y[None]
     )[2:]
-    p_w, r_w = reweighted(fixed_point[0][0])
+    p_w, r_w = reweighted(fixed_point.final_weights[0])
     want = np.linalg.solve(H @ p_w @ H.T + r_w, H @ p_w).T
     slack = 10.0 * np.linalg.cond(H @ p_w @ H.T + r_w) * eps
     gain = k_r[0] @ b_r_inv  # the MCKF's gain is K_r, in whitened measurement coordinates
     np.testing.assert_allclose(gain, want, rtol=1e-10, atol=slack * np.abs(want).max())
 
     belief = GaussianBelief(rng.standard_normal(n), random_spd(rng, n, 0.5))
-    iters = np.zeros(1, dtype=np.int32)
-    x, p, _, (_, _, capped) = _filter_step(
-        model, kernel, belief.mean[None], belief.cov[None], y[None], iters
-    )
+    x, p, run = _filter_step(model, kernel, belief.mean[None], belief.cov[None], y[None])
     prior = kf_predict(model, belief)
     x_ref, gain_ref, report = fixed_point_iterate(model, prior, y, kernel)
     rels, cond = _reference_trips(model, prior, y, kernel, report.iterations)
     slack = 10.0 * cond * eps
     if np.all(np.abs(rels - kernel.epsilon) > slack):
-        assert (int(iters[0]), capped.size == 0) == (report.iterations, report.converged)
+        assert (run.iterations[0], run.converged[0]) == (report.iterations, report.converged)
     scale = max(1.0, np.abs(x_ref).max(), np.abs(y).max())
     np.testing.assert_allclose(x[0], x_ref, rtol=0.0, atol=1e-9 + slack * scale)
     p_ref = _joseph(model, cholesky_stack(prior.cov), gain_ref)
