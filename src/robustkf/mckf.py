@@ -130,22 +130,21 @@ class FixedPointReport:
 
 
 def gaussian_kernel(e, sigma: float):
-    """Gaussian kernel ``exp(-e^2 / (2 sigma^2))``, elementwise on arrays."""
+    """Gaussian kernel ``exp(-e^2 / (2 sigma^2))``, elementwise on arrays.
+
+    Has the textbook form's bits wherever ``e^2``, ``2 sigma^2`` and their quotient
+    are normal, is within ``4 ulp * max(1, (e / sigma)^2 / 2)`` of the exact weight
+    elsewhere (0 where that rounds to 0), and is 1 at ``sigma = inf`` for finite ``e``.
+    """
     if not sigma > 0:
         raise InvalidBandwidth(f"sigma must be > 0, got {sigma}")
-    e, sigma = np.asarray(e, dtype=float), float(sigma)  # float arithmetic: no overflow warning
-    divisor = -2.0 * sigma * sigma  # the sign in the divisor: a pass fewer
-    if -math.inf < divisor and -747.0 * divisor == math.inf:
-        # An e^2 that overflows may have weight > 0: scale e and 2 sigma^2, exactly.
-        e, divisor = e * 2.0**-513, divisor * 2.0**-1026
-    if -math.inf < divisor < 0.0:
-        # exp(-746) = 0: capping |e| at the root of -747 divisor, whose square is at
-        # least -746 divisor even where 2 sigma^2 is subnormal, changes no weight
-        # and keeps e^2 and the quotient finite.
-        out = np.exp(np.square(np.minimum(np.abs(e), math.sqrt(-747.0 * divisor))) / divisor)
-    else:  # 2 sigma^2 overflows or underflows; an overflowing (e / sigma)^2 is weight 0
-        with np.errstate(over="ignore"):
-            out = np.exp(-0.5 * (e / sigma) ** 2)
+    # sigma = f 2^s with f in [0.5, 1) (s = 2100 zeroes every finite e): 2^-s scales exactly.
+    # The cap at e 2^-s = 78 changes no weight (exp(< -747) = 0); from s = 1017, e 2^-s < 2^7.
+    f, s = (0.5, 2100) if sigma == math.inf else math.frexp(sigma)
+    e = np.abs(np.asarray(e, dtype=float))
+    if s < 1017:
+        e = np.minimum(e, math.ldexp(78.0, s))
+    out = np.exp(np.square(np.ldexp(e, -s)) / (-2.0 * f * f))  # sign in the divisor: a pass fewer
     return float(out) if out.ndim == 0 else out
 
 

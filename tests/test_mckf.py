@@ -62,6 +62,25 @@ def scalar_regression(p=1.0, r=1.0, h=1.0, x_prior=0.0, y=0.0):
     return model, prior, build_regression(model, prior, [y])
 
 
+MAX_FLOAT = np.finfo(float).max
+#: Bandwidths where 2 sigma^2 is subnormal (1.6e-162 to 1.1e-154), 747 * 2 sigma^2
+#: overflows (3.47e152), 2 sigma^2 overflows (9.48e153) and sigma^2 does (1.34e154);
+#: one with a cap near the largest (2^1010), the first without a cap (2^1016), and the
+#: largest float.
+BANDWIDTH_EDGES = np.array(
+    [1.6e-162, 1.1e-154, 3.47e152, 9.48e153, 1.34e154, 2.0**1010, 2.0**1016, MAX_FLOAT]
+)
+
+
+def _log_uniform_bandwidths(rng, size):
+    """Positive finite floats, uniform in the binary exponent, 5e-324 to the largest."""
+    return np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1073, 1025, size))
+
+
+def _is_normal(x):
+    return (np.abs(x) >= np.finfo(float).tiny) & np.isfinite(x)
+
+
 class TestGaussianKernel:
     def test_zero_error(self):
         assert gaussian_kernel(0.0, 3.0) == 1.0
@@ -84,6 +103,9 @@ class TestGaussianKernel:
         # Below 1.1e-162, 2 sigma^2 underflows to -0.0: e^2 / (2 sigma^2) would be 0 / 0 at e = 0.
         got = gaussian_kernel([0.0, 1e-170, 1.0, 1e300], 1e-170)
         np.testing.assert_allclose(got, [1.0, math.exp(-0.5), 0.0, 0.0], rtol=1e-15, atol=0.0)
+        # Where 2 sigma^2 is subnormal it keeps too few bits for e^2 / (2 sigma^2).
+        got = gaussian_kernel([5e-161, 3e-161], 1e-161)
+        np.testing.assert_allclose(got, [math.exp(-12.5), math.exp(-4.5)], rtol=1e-14, atol=0.0)
         # Where 2 sigma^2 is finite but e^2 / (2 sigma^2) overflows, the weight is 0, with no warning.
         assert gaussian_kernel(1e6, 1e-150) == 0.0
         belief, kernel = GaussianBelief([0.0, 0.0], 0.01 * np.eye(2)), KernelConfig(1e-150, 1e-6)
@@ -96,19 +118,55 @@ class TestGaussianKernel:
         for e, sigma in ((2e154, 9e153), (1.4e154, 5e153)):
             want = math.exp(-0.5 * (e / sigma) ** 2)
             np.testing.assert_allclose(gaussian_kernel(e, sigma), want, rtol=1e-15, atol=0.0)
+        # e / sigma = 1000: a cap on |e| must scale with sigma up to the largest float.
+        assert gaussian_kernel(1e308, 1e305) == 0.0
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_sign_in_the_divisor_is_the_textbook_form(self, seed):
-        # The kernel divides e^2 by -2 sigma^2 rather than negating e^2 first:
-        # IEEE negation is exact, so the two forms agree bit for bit.
+        # Wherever e^2, 2 sigma^2 and their quotient are normal, each weight has
+        # the bits of the textbook form: scaling by a power of two is exact, and
+        # so is IEEE negation, so the sign may sit in the divisor.
         rng = np.random.default_rng(seed)
         e = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000)
         e = np.concatenate([e, [0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf]])
-        with np.errstate(over="ignore"):  # e^2 overflows to inf above 1e154
-            for sigma in 10.0 ** rng.uniform(-150.0, 150.0, 10):
-                want = np.exp(-(e * e) / (2.0 * sigma * sigma))
-                assert np.array_equal(gaussian_kernel(e, sigma), want)
+        for sigma in np.concatenate([_log_uniform_bandwidths(rng, 10), BANDWIDTH_EDGES]):
+            with np.errstate(all="ignore"):  # the textbook form's inf / inf and 0 / 0
+                square, divisor = e * e, 2.0 * sigma * sigma
+                quotient = square / divisor
+            want = np.exp(-quotient)
+            normal = _is_normal(square) & _is_normal(divisor) & _is_normal(quotient)
+            assert np.array_equal(gaussian_kernel(e, sigma)[normal], want[normal])
+
+    def test_every_weight_is_within_the_ulp_bound_of_the_exact_one(self):
+        # Against 200-bit mpmath over every bandwidth: within 4 ulp * max(1,
+        # (e / sigma)^2 / 2), exp's own amplification, and exactly 0 where the
+        # exact weight rounds to 0; no warning anywhere, at sigma = inf included.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(33)
+        ratios = np.array(
+            [1e-200, 1e-10, 0.5, 1.0, 3.0, 10.0, 38.5, 38.6, 38.7, 39.0, 77.9, 78.0, 1e10]
+        )
+        special = [0.0, -0.0, 5e-324, -1e-310, 1.34e154, 1e300, MAX_FLOAT]
+        sigmas = np.concatenate([_log_uniform_bandwidths(rng, 200), BANDWIDTH_EDGES, [1e-161]])
+        for sigma in sigmas:
+            with np.errstate(over="ignore"):
+                cap = np.ldexp(78.0, math.frexp(sigma)[1])  # the kernel's cap, where finite
+                e = np.concatenate([special, sigma * ratios, cap * np.array([0.999, 1.0, 1.001])])
+            e = e[np.isfinite(e)]
+            with mpmath.workprec(200):
+                for x, got in zip(e, gaussian_kernel(e, sigma)):
+                    power = (mpmath.mpf(x) / mpmath.mpf(float(sigma))) ** 2 / 2
+                    exact = mpmath.exp(-power)
+                    if float(exact) == 0.0:
+                        assert got == 0.0, (x, sigma)
+                    else:
+                        bound = 4 * np.spacing(float(exact)) * max(1, power)
+                        assert abs(got - exact) <= bound, (x, sigma, got)
+            got = gaussian_kernel([np.inf, -np.inf, np.nan], sigma)
+            assert got[0] == got[1] == 0.0 and math.isnan(got[2])
+        got = gaussian_kernel([0.0, 5e-324, 1.0, 1e300, MAX_FLOAT, np.nan, np.inf], np.inf)
+        assert np.array_equal(got[:5], np.ones(5)) and math.isnan(got[5]) and 0.0 <= got[6] <= 1.0
 
 
 class TestCorrentropyEstimate:

@@ -289,13 +289,14 @@ class TestRunMonteCarlo:
             assert not result.iterations.any() and not result.nonconverged.any(), engine
             assert np.isnan(result.covariances).all(), engine
 
-    def test_huge_bandwidth_matches_baseline_mse(self):
+    @pytest.mark.parametrize("sigma", [1e6, math.inf])
+    def test_huge_bandwidth_matches_baseline_mse(self, sigma):
         config = small_config(
             runs=10,
             steps=100,
             filters=(
                 FilterSpec("kf"),
-                FilterSpec("mckf", KernelConfig(sigma=1e6, epsilon=1e-8)),
+                FilterSpec("mckf", KernelConfig(sigma=sigma, epsilon=1e-8)),
             ),
         )
         result = run_monte_carlo(config)
