@@ -88,6 +88,8 @@ class KernelConfig:
         cap = self.max_iterations
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
+        for name in ("sigma", "epsilon"):  # sigma=2 and sigma=2.0 are one config
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -415,51 +417,89 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w):
     return k_u, FixedPointReport(count, ~(last_rel > kernel.epsilon), weights, last_rel)
 
 
+def _einsum_matmul(a, b):
+    """``a @ b`` of each run by ``einsum``, which makes no BLAS call per run (see `_filter_update`)."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
 def _filter_update(model, kernel, x_pred, p_pred, y):
     """Measurement update of a stack of runs, one per row; ``kernel is None`` is the KF.
 
     Both filters whiten the measurement once (``B_p = chol(P_pred)``, the
     model's ``H_w = B_r^-1 H`` and ``B_r^-1``): ``A_w = H_w B_p`` and ``nu_w =
-    B_r^-1 innovation``.  Only the whitened gain ``K_u`` differs: the MCKF's
-    is `_fixed_point`'s, of its last weights, and the KF's the unit-weight
-    case (one `_whitened_update` at ``w_inv = 1``), whose ``P`` may be one
-    ``(1, n, n)`` covariance shared by all runs.  Both take ``K_r = B_p K_u``,
-    whose ``K_r B_r^-1`` is the textbook gain or `fixed_point_iterate`'s
-    ``K``, and ``x = x_pred + K_r nu_w``.  As ``(I - K H) B_p = B_p - K_r A_w``
-    and ``K R K' = K_r K_r'``, the Joseph covariance is ``P = G G'``, ``G =
-    [B_p - K_r A_w | K_r]``: PSD by construction, and exactly symmetric, as a
-    general matrix product against a contiguous copy of ``G'`` sums the same
-    products in the same order for ``(i, j)`` and ``(j, i)`` (``G @ G'`` on one
-    buffer is a symmetric rank-k update, twice as slow per run at 100 runs).
+    B_r^-1 innovation``.  ``P_pred`` must be exactly symmetric (`_predict`'s
+    and a `GaussianBelief`'s are), so no symmetrize pass comes first.  Only
+    the whitened gain ``K_u`` differs: the MCKF's is `_fixed_point`'s, of its
+    last weights, and the KF's the unit-weight case (one `_whitened_update` at
+    ``w_inv = 1``), whose ``P`` may be one ``(1, n, n)`` covariance shared by
+    all runs.  Both take ``K_r = B_p K_u``, whose ``K_r B_r^-1`` is the
+    textbook gain or `fixed_point_iterate`'s ``K``, and ``x = x_pred + K_r
+    nu_w``.  As ``(I - K H) B_p = B_p - K_r A_w`` and ``K R K' = K_r K_r'``,
+    the Joseph covariance is ``P = G G'``, ``G = [B_p - K_r A_w | K_r]``: PSD
+    by construction, and exactly symmetric, as a general matrix product
+    against a contiguous copy of ``G'`` sums the same products in the same
+    order for ``(i, j)`` and ``(j, i)`` (``G @ G'`` on one buffer is a
+    symmetric rank-k update, twice as slow per run at 100 runs).
+
     Every product is per run, never one BLAS product over all runs, so no
-    run's numbers depend on the stack: mat-vecs use ``einsum`` (stacked ``@``
-    makes a BLAS call per run), matrix products stacked ``@``, though for
-    ``H_w @ B_p`` (n = 2, m = 1) ``einsum`` takes 4.0 µs against 1.9 at 1
-    run, 8.8 against 9.7 at 100 and 47 against 130 at 4000.
-    Returns ``(x, P, report, K_r)``: ``report`` is `_fixed_point`'s, or ``None``
-    for the KF.
+    run's numbers depend on the stack.  Mat-vecs use ``einsum``, and so do
+    the MCKF's ``A_w`` and ``K_r`` when m = 1, where each run's is one row or
+    one column: stacked ``@`` makes a BLAS call per run.  With m >= 2 they
+    stay stacked ``@``, 3-11x faster there from 100 runs (n <= 6), and so do
+    the KF's, whose track is one matrix, where ``@`` is faster.  µs per
+    product (``@`` against ``einsum``; one Xeon vCPU, one BLAS thread):
+
+    =========  ==========  ==========  ===========
+    n, m       1 run       100 runs    4000 runs
+    =========  ==========  ==========  ===========
+    ``A_w``
+    2, 1       0.9 / 2.0   4.4 / 3.2   129 / 47
+    3, 2       0.9 / 2.1   4.1 / 13.5  119 / 460
+    ``K_r``
+    2, 1       0.9 / 2.0   4.5 / 3.2   139 / 46
+    3, 2       1.0 / 2.1   4.5 / 18.7  140 / 683
+    =========  ==========  ==========  ===========
+
+    Returns ``(x, P, report, K_r)``: ``report`` is `_fixed_point`'s, or
+    ``None`` for the KF.
     """
     (runs, n), m = p_pred.shape[:2], model.m
+    matmul = np.matmul if kernel is None or m > 1 else _einsum_matmul
     innovation = y - np.einsum("ij,rj->ri", model.H, x_pred)
-    b_p = cholesky_stack((p_pred + _mT(p_pred)) / 2.0)
-    a_w = model.H_w @ b_p
+    b_p = cholesky_stack(p_pred)
+    a_w = matmul(model.H_w, b_p)
     nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
     if kernel is None:
         k_u, report = _whitened_update(a_w, np.ones((runs, n + m))), None
     else:
         k_u, report = _fixed_point(kernel, a_w, b_p, x_pred, nu_w)
-    k_r = b_p @ k_u
+    k_r = matmul(b_p, k_u)
     x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
     g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
     return x, g @ np.ascontiguousarray(_mT(g)), report, k_r
 
 
+def _predict(model, x, p):
+    """``(F x, F P F' + Q)`` of each run of a stack; reads only the lower triangle of ``P``.
+
+    The covariance is the model's packed operator on that triangle, one
+    ``einsum`` mat-vec per run, ``F_sym @ P[pack_index]``, unpacked by
+    ``unpack_index`` and plus ``Q``: exactly symmetric by construction, as
+    ``(i, k)`` and ``(k, i)`` read one packed entry (see `StateSpaceModel`).
+    The gathered triangle is copied row-major: ``einsum`` sums a row in an
+    order set by its strides, and the gather's strides change with the runs.
+    """
+    tril = np.ascontiguousarray(p.reshape(len(p), -1)[:, model.pack_index])
+    p_pred = np.einsum("ij,rj->ri", model.F_sym, tril)[:, model.unpack_index] + model.Q
+    return np.einsum("ij,rj->ri", model.F, x), p_pred
+
+
 def _filter_step(model, kernel, x, p, y):
-    """One predict/update cycle of a stack of runs, ``(x, P) -> (x, P, report)``
-    (see `_filter_update`): the batched Monte Carlo engine's step."""
-    x_pred = np.einsum("ij,rj->ri", model.F, x)
-    p_pred = model.F @ p @ model.F_T + model.Q
-    return _filter_update(model, kernel, x_pred, p_pred, y)[:3]
+    """One predict/update cycle of a stack of runs, ``(x, P) -> (x, P, report)``:
+    the batched Monte Carlo engine's step.  `_predict` applies the model's packed
+    operator to each ``P``'s lower triangle, so ``P_pred`` is exactly symmetric
+    and `_filter_update` factors it as it is."""
+    return _filter_update(model, kernel, *_predict(model, x, p), y)[:3]
 
 
 def _checked_measurement(model: StateSpaceModel, belief: GaussianBelief, y, name: str):

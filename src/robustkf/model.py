@@ -29,9 +29,18 @@ class StateSpaceModel:
     once, keeps the symmetrized ``Q`` and ``R`` it checked, so every engine
     uses one ``R``, and factors ``R = B_r B_r'`` (`cholesky_lower`), storing
     ``B_r``, ``B_r_inv`` and the whitened ``H_w = B_r_inv H`` for every filter
-    step, with ``F_T``, a C-contiguous copy of ``F'`` for the stacked predict.
-    All eight arrays are read-only, so neither the checks nor the factor can
-    go stale.
+    step.  For the batched predict it stores ``F P F'`` as one operator on the
+    lower triangle of a symmetric ``P``: ``pack_index`` lists the flat
+    positions ``(j, l)``, ``j >= l``, of that triangle in row order,
+    ``unpack_index`` the packed position of each ``(i, k)`` of an n x n
+    matrix, and ``F_sym``, n(n+1)/2 square, has entry ``(i, k), (j, l)`` equal
+    to ``F_ij F_kl + F_il F_kj``, halved when ``j = l``.  The operator costs
+    (n(n+1)/2)^2 multiply-adds per run against 2n^3 for ``F P F'`` by two
+    products.  At 4000 runs, against the two products plus a symmetrize pass,
+    it takes 128 µs against 328 at n = 2 and 471 against 584 at n = 3, but
+    2349 against 1673 at n = 6 and 8230 against 4367 at n = 10 (one Xeon
+    vCPU, one BLAS thread).  All ten arrays are read-only, so neither the
+    checks nor the factor can go stale.
 
     Raises
     ------
@@ -52,8 +61,10 @@ class StateSpaceModel:
     R: np.ndarray
     B_r: np.ndarray = field(init=False, repr=False, compare=False)
     B_r_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    F_T: np.ndarray = field(init=False, repr=False, compare=False)
     H_w: np.ndarray = field(init=False, repr=False, compare=False)
+    F_sym: np.ndarray = field(init=False, repr=False, compare=False)
+    pack_index: np.ndarray = field(init=False, repr=False, compare=False)
+    unpack_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("F", "H", "Q", "R"):
@@ -80,7 +91,15 @@ class StateSpaceModel:
             raise NotPositiveDefinite(f"R must be positive definite ({exc})") from None
         _require_psd(Q, "Q")
         b_r_inv = np.linalg.inv(b_r)
-        derived = dict(Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, F_T=F.T.copy(), H_w=b_r_inv @ H)
+        rows, cols = np.tril_indices(n)
+        unpack = np.empty((n, n), dtype=np.intp)
+        unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+        i, k, j, l = rows[:, None], cols[:, None], rows, cols
+        f_sym = (F[i, j] * F[k, l] + F[i, l] * F[k, j]) * np.where(j == l, 0.5, 1.0)
+        derived = dict(
+            Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, H_w=b_r_inv @ H,
+            F_sym=f_sym, pack_index=j * n + l, unpack_index=unpack,
+        )
         for name, arr in derived.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

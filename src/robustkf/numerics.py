@@ -63,8 +63,11 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     a : ndarray, shape (..., n, n)
-        Symmetric PSD matrices, neither checked nor symmetrized here: callers
-        validate (`cholesky_lower`) or symmetrize (the filters, `GaussianBelief`) first.
+        Symmetric PSD matrices, neither checked nor symmetrized here:
+        `cholesky_lower` and `GaussianBelief` validate and symmetrize first,
+        and the filters pass matrices that are exactly symmetric by
+        construction, a belief's covariance or the packed predict's
+        ``F P F' + Q`` (`robustkf.mckf._predict`).
 
     Returns
     -------

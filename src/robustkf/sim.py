@@ -200,6 +200,7 @@ class ExperimentConfig:
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and math.isfinite(value) and value >= 0):
                 raise ConfigParseError(f"{name} must be a finite number >= 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.filters:
             raise ConfigParseError("at least one filter is required")
         if self.example == "custom" and (self.custom_model is None or self.true_x0 is None):
@@ -284,14 +285,15 @@ class ExperimentConfig:
         try:
             for f in specs:
                 # FilterSpec checks the kind; KernelConfig rejects a key it
-                # does not take (TypeError) and a bad value.
+                # does not take (TypeError) and a bad value (OverflowError for
+                # an integer past the float range).
                 kind, params = f.get("kind"), {k: v for k, v in f.items() if k != "kind"}
                 filters.append(FilterSpec(kind, KernelConfig(**params) if params else None))
             custom = data.pop("custom_model", None)
             if custom is not None:
                 data["custom_model"] = StateSpaceModel(**custom)
             return cls(filters=tuple(filters), **data)
-        except (TypeError, ValueError, RobustKFError) as exc:
+        except (TypeError, ValueError, OverflowError, RobustKFError) as exc:
             raise ConfigParseError(str(exc)) from None
 
 

@@ -125,6 +125,8 @@ def test_bad_model_in_config_file_is_config_error(tmp_path, capsys, config):
         {"filters": [{"kind": "mckf", "sigma": 0, "epsilon": 1e-6}]},
         {"filters": [{"kind": "mckf", "sigma": True, "epsilon": 1e-6}]},
         {"filters": [{"kind": "mckf", "sigma": 2, "epsilon": True}]},
+        {"filters": [{"kind": "mckf", "sigma": 10**400, "epsilon": 1e-6}]},
+        {"p0_scale": 10**400},
         {"init_perturb_var": True},
         {"p0_scale": True},
         {"example": "example1", "custom_model": _MODEL_1X1},
@@ -266,6 +268,23 @@ class TestBench:
         out = tmp_path / "out"
         assert run_cli(["bench", "--config", str(path), "--out", str(out)]) == 0
         assert "seed=99 " in (out / "mse.csv").read_text().splitlines()[0]
+
+    def test_integer_valued_reals_give_the_tables_of_their_floats(self, tmp_path):
+        # A file's "sigma": 2 is the experiment of the flag --sigma 2: same
+        # config hash in the header, same sigma column, byte for byte.
+        flags = ["--example", "1", "--runs", "3", "--steps", "5", "--seed", "1"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"filters": [{"kind": "kf"}, {"kind": "mckf", "sigma": 2, "epsilon": 1e-6}]}))
+        tables = []
+        for name, extra in (("file", ["--config", str(path)]), ("flag", ["--sigma", "2"])):
+            assert run_cli(["bench", *flags, *extra, "--out", str(tmp_path / name)]) == 0
+            tables.append([(tmp_path / name / t).read_bytes() for t in ("mse.csv", "iterations.csv")])
+        assert tables[0] == tables[1]
+        ints = ExperimentConfig(filters=(FilterSpec("mckf", KernelConfig(2, 1)),), p0_scale=1, init_perturb_var=0)
+        floats = ExperimentConfig(
+            filters=(FilterSpec("mckf", KernelConfig(2.0, 1.0)),), p0_scale=1.0, init_perturb_var=0.0
+        )
+        assert _config_hash(ints) == _config_hash(floats)
 
     def test_max_iterations_flag_caps_the_filters_of_a_config_file(self, tmp_path):
         # As --seed overrides the file's master_seed, --max-iterations caps every

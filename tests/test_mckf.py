@@ -40,6 +40,7 @@ from robustkf.mckf import (
     WEIGHT_FLOOR,
     _filter_step,
     _filter_update,
+    _predict,
     _weighted_qr_solve,
     _whitened_update,
     weighted_qr_map,
@@ -719,3 +720,32 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
     else:
         assert error <= 1e-7
         event(f"x-space gain form, m >= 2: error below 1e{math.ceil(math.log10(error_ref + 1e-300))}")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_predict_is_symmetric_reads_the_lower_triangle_and_rounds_like_kf_predict(n):
+    # A non-normal F (a random matrix plus a large superdiagonal) and priors of
+    # every rank 0..n, so all but the last are singular, over six decades.
+    rng = np.random.default_rng(600 + n)
+    f = rng.standard_normal((n, n)) + 3.0 * np.eye(n, k=1)
+    assert n == 1 or not np.allclose(f @ f.T, f.T @ f)
+    model = StateSpaceModel(F=f, H=np.ones((1, n)), Q=random_spd(rng, n, 0.05), R=[[1.0]])
+    roots = [rng.standard_normal((n, rank)) * 10.0 ** rng.uniform(-3, 3) for rank in range(n + 1)]
+    p = np.stack([GaussianBelief(np.zeros(n), b @ b.T).cov for b in roots])
+    x = rng.standard_normal((n + 1, n))
+    x_pred, p_pred = _predict(model, x, p)
+    assert np.array_equal(p_pred, p_pred.swapaxes(-1, -2))
+    garbled, (rows, cols) = p.copy(), np.triu_indices(n, 1)
+    garbled[:, rows, cols] = np.nan
+    np.testing.assert_array_equal(_predict(model, x, garbled)[1], p_pred)
+    # First-order bounds with u = eps / 2 and M = |F| |P| |F'| + |Q|: the packed
+    # form rounds each operator entry (2u) and its product (u), then N - 1 sums
+    # and + Q, N = n(n+1)/2, so it is within (N + 3) u M of F P F' + Q;
+    # kf_predict's two products, + Q and symmetrizing mean, within (2n + 2) u M.
+    # One more u M covers the second-order terms.
+    u, big_n = np.finfo(float).eps / 2.0, n * (n + 1) // 2
+    for i, cov in enumerate(p):
+        prior = kf_predict(model, GaussianBelief(x[i], cov))
+        bound = (big_n + 2 * n + 6) * u * (np.abs(f) @ np.abs(cov) @ np.abs(f).T + np.abs(model.Q))
+        assert np.all(np.abs(p_pred[i] - prior.cov) <= bound)
+        assert np.all(np.abs(x_pred[i] - prior.mean) <= 2 * n * u * np.abs(f) @ np.abs(x[i]))

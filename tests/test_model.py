@@ -80,7 +80,7 @@ class TestValidateModel:
         model = StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(2), R=R)
         with pytest.raises(ValueError):
             model.R[0, 0] = 2.0
-        for name in ("F", "H", "Q", "R", "B_r", "B_r_inv", "F_T", "H_w"):
+        for name in ("F", "H", "Q", "R", "B_r", "B_r_inv", "H_w", "F_sym", "pack_index", "unpack_index"):
             assert not getattr(model, name).flags.writeable, name
         R[0, 0] = 4.0
         assert model.R[0, 0] == 1.0 and model.B_r[0, 0] == 1.0

@@ -348,6 +348,9 @@ class TestRunMonteCarlo:
         assert np.all(np.isfinite(result.covariances))
 
 
+#: A non-orthogonal 6 x 6 basis: unit diagonal, 0.6 above it, -0.4 below.
+_T6 = np.eye(6) + np.triu(np.full((6, 6), 0.6), 1) - np.tril(np.full((6, 6), 0.4), -1)
+
 #: Configs that reach each branch of the batched fixed-point loop.
 ENGINE_CASES = {
     # Runs leave the active set on different trips of one step.
@@ -403,7 +406,7 @@ ENGINE_CASES = {
         p0_scale=0.0,
     ),
     # n = 5, m = 2: the example-2 and example-1 dynamics side by side, damped
-    # to be stable, one state of each block observed; the only case with n > 3.
+    # to be stable, one state of each block observed.
     "wide": dict(
         example="custom",
         custom_model=StateSpaceModel(
@@ -416,6 +419,22 @@ ENGINE_CASES = {
             R=0.01 * np.eye(2),
         ),
         true_x0=(0.0, 0.0, 1.0, 1.0, 0.0),
+        noise_case="impulsive-both",
+        runs=20,
+        steps=30,
+    ),
+    # n = 6, m = 2, the sweeps' largest n: a dense, non-normal F (a similarity
+    # of a stable diagonal by a non-orthogonal T), so every cross term of the
+    # packed predict's operator enters, and two dense measurement rows.
+    "dense-six": dict(
+        example="custom",
+        custom_model=StateSpaceModel(
+            F=np.linalg.solve(_T6, np.diag([0.95, 0.9, -0.8, 0.7, 0.5, -0.3]) @ _T6),
+            H=[[1.0, 0.5, 0.0, -0.5, 1.0, 0.2], [0.0, 1.0, 1.0, 0.3, -0.4, 1.0]],
+            Q=0.01 * np.eye(6),
+            R=0.01 * np.eye(2),
+        ),
+        true_x0=(1.0, 0.0, -1.0, 0.5, 0.0, 1.0),
         noise_case="impulsive-both",
         runs=20,
         steps=30,
