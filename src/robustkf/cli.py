@@ -286,6 +286,8 @@ def _cmd_diagnose(ns) -> int:
     snapshot_step = ns.snapshot_step
     if snapshot_step < 1:
         raise ConfigParseError("--snapshot-step must be >= 1")
+    if ns.beta is not None and not ns.beta > 0:  # no ball of radius <= 0 is ever certified
+        raise ConfigParseError(f"--beta must be > 0, got {ns.beta!r}")
     probe = replace(config, runs=1, steps=snapshot_step, filters=(FilterSpec("kf"),))
     data = generate_run_data(probe, 0)
     fmodel = probe.filter_model()

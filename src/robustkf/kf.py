@@ -1,10 +1,10 @@
-"""Classic Kalman filter predict and update steps.
+"""Classic Kalman filter predict and update steps, the baseline estimator.
 
-These are the baseline estimator.  `kf_predict` is the prior propagation the
-reference Monte Carlo engine composes with the correntropy update;
-`kf_update` is the unit-weight case of the whitened update the filters
-share (`robustkf.mckf._filter_update`), run on one trajectory.  Both
-functions are pure; the returned beliefs hold exactly symmetric covariances.
+Both run the batched Monte Carlo engine's arithmetic on one trajectory:
+`kf_predict` its predict (`robustkf.mckf._predict`), `kf_update` the
+unit-weight case of its update (`robustkf.mckf._filter_update`), so a cycle
+is the engine's KF row and `mckf_step` at ``sigma = inf``, bit for bit.
+Both are pure; the returned beliefs hold exactly symmetric covariances.
 """
 
 from __future__ import annotations
@@ -12,22 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .mckf import _checked_measurement, _filter_update
+from .mckf import _checked_measurement, _filter_update, _predict
 from .model import GaussianBelief, StateSpaceModel
 
 
 def kf_predict(model: StateSpaceModel, posterior: GaussianBelief) -> GaussianBelief:
     """Propagate a posterior belief through the model dynamics.
 
-    Returns the prior belief with mean ``F x`` and covariance
-    ``F P F.T + Q``.
+    Returns the prior ``(F x, F P F' + Q)`` of the engine's `_predict` on one
+    run, exactly symmetric, as a fully checked `GaussianBelief`.
     """
     if posterior.dim != model.n:
         raise DimensionMismatch(
             f"belief dim {posterior.dim} does not match model state dim {model.n}"
         )
-    mean = model.F @ posterior.mean
-    return GaussianBelief(mean, model.F @ posterior.cov @ model.F.T + model.Q)
+    x, p = _predict(model, posterior.mean[None], posterior.cov[None])
+    return GaussianBelief(x[0], p[0])
 
 
 def kf_update(
@@ -39,9 +39,8 @@ def kf_update(
     `_filter_update`, on one run: the MCKF's whitened update at unit kernel
     weights.  Its gain is the textbook ``P H' (H P H' + R)^-1``, taken one
     whitened measurement at a time, with no m x m solve; its covariance is
-    the Joseph form ``(I - K H) P (I - K H)' + K R K'``, which stays PSD
-    under perturbed gains, written as a Gram product, so it is exactly
-    symmetric and PSD by construction.  The inputs are checked once: the
+    the Joseph form ``(I - K H) P (I - K H)' + K R K'`` as a Gram product,
+    exactly symmetric and PSD by construction.  The inputs are checked once: the
     belief's dimension and a finite measurement of length m.  ``R`` was
     checked and factored when the model was built.
 

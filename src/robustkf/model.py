@@ -34,13 +34,8 @@ class StateSpaceModel:
     positions ``(j, l)``, ``j >= l``, of that triangle in row order,
     ``unpack_index`` the packed position of each ``(i, k)`` of an n x n
     matrix, and ``F_sym``, n(n+1)/2 square, has entry ``(i, k), (j, l)`` equal
-    to ``F_ij F_kl + F_il F_kj``, halved when ``j = l``.  The operator costs
-    (n(n+1)/2)^2 multiply-adds per run against 2n^3 for ``F P F'`` by two
-    products.  At 4000 runs, against the two products plus a symmetrize pass,
-    it takes 128 µs against 328 at n = 2 and 471 against 584 at n = 3, but
-    2349 against 1673 at n = 6 and 8230 against 4367 at n = 10 (one Xeon
-    vCPU, one BLAS thread).  All ten arrays are read-only, so neither the
-    checks nor the factor can go stale.
+    to ``F_ij F_kl + F_il F_kj``, halved when ``j = l``.  All ten arrays are
+    read-only, so neither the checks nor the factor can go stale.
 
     Raises
     ------

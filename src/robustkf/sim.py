@@ -33,12 +33,12 @@ solve works only on the runs still iterating.  Its KF carries one
 covariance for all runs: ``P`` and the gain follow the Riccati recursion,
 which reads no measurements, from the same ``p0`` in every run, so the one
 ``(1, n, n)`` track is bit for bit every run's ``P``.  The independent
-``reference`` step advances one run at a time through `kf_predict`, a gain
-(the KF's textbook ``P H' (H P H' + R)^-1``, the MCKF's from
-`fixed_point_direct` on the model, the prior and the measurement: the
-paper's weighted least squares in whitened prior coordinates, by QR) and
-the Joseph covariance of that gain, which it writes in its own code as a
-Gram product, as the batched step does.  The loop marks a run whose numbers
+``reference`` step advances one run at a time through its own textbook
+predict ``(F x, F P F' + Q)``, a gain (the KF's textbook ``P H' (H P H' +
+R)^-1``, the MCKF's from `fixed_point_direct` on the model, the prior and
+the measurement: the paper's weighted least squares in whitened prior
+coordinates, by QR) and the Joseph covariance of that gain, a Gram product
+in its own code, as the batched step's.  The loop marks a run whose numbers
 overflow failed; it does not stop the experiment.
 """
 
@@ -51,7 +51,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigParseError, EmptyInput, RobustKFError
-from .kf import kf_predict
 from .mckf import FixedPointReport, KernelConfig, _filter_step, fixed_point_direct
 from .model import (
     GaussianBelief,
@@ -386,22 +385,23 @@ def _reference_step(model, kernel, x, p, y):
     """One step of every run, a run at a time, ``(x, P) -> (x, P, report)``;
     ``kernel is None`` is the KF.
 
-    Each run composes `kf_predict` of ``GaussianBelief(x[run], p[run])``, a
-    gain, the estimate ``prior.mean + K (y - H prior.mean)`` and `_joseph` of
-    the predicted covariance's `cholesky_stack` factor ``B_p``.  The KF's gain
-    is the textbook ``P H' (H P H' + R)^-1``; the MCKF's is the final gain of
-    `fixed_point_direct(model, prior, y, kernel)`, which whitens with the
-    model's factors and builds no x-space regression.  A run that raises a
-    `RobustKFError` (a failed run's NaN estimate does) is NaN after the step,
-    so it stays failed.  ``report`` stacks the runs' `FixedPointReport`s as
-    `_filter_step`'s (a run that raised before its solve: 0 iterations,
-    converged, NaN weights and step); the KF's is ``None``.
+    Each run composes the textbook predict ``prior = GaussianBelief(F x, F P
+    F' + Q)``, the run-step's one checked belief, a gain, the estimate
+    ``prior.mean + K (y - H prior.mean)`` and `_joseph` of ``prior.cov``'s
+    `cholesky_stack` factor ``B_p``.  The KF's gain is the textbook ``P H' (H
+    P H' + R)^-1``; the MCKF's is the final gain of `fixed_point_direct(model,
+    prior, y, kernel)`, which whitens with the model's factors and builds no
+    x-space regression.  A run that raises a `RobustKFError` (a failed run's
+    NaN estimate does) is NaN after the step, so it stays failed.  ``report``
+    stacks the runs' `FixedPointReport`s as `_filter_step`'s (a run that
+    raised before its solve: 0 iterations, converged, NaN weights and step);
+    the KF's is ``None``.
     """
     x_new, p_new = np.full_like(x, np.nan), np.full_like(p, np.nan)
     reports = [FixedPointReport(0, True, np.full(model.n + model.m, np.nan), np.nan)] * len(x)
     for run in range(len(x)):
         try:
-            prior = kf_predict(model, GaussianBelief(x[run], p[run]))
+            prior = GaussianBelief(model.F @ x[run], model.F @ p[run] @ model.F.T + model.Q)
             if kernel is None:
                 hp = model.H @ prior.cov
                 gain = solve_spd(hp @ model.H.T + model.R, hp).T

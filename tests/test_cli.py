@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import robustkf.cli
 from robustkf import (
     ExperimentConfig,
     FilterSpec,
@@ -221,6 +222,13 @@ class TestBench:
         assert header == ["filter", "sigma", "epsilon", "avg_iterations", "nonconverged_steps"]
         assert len(rows) == 2
         assert all(r[0] == "MCKF" for r in rows)
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(bench_args(taken)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -442,6 +450,20 @@ class TestDiagnose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma_min"] >= max(payload["sigma_star"], payload["sigma_dagger"]) - 1e-12
         assert payload["beta"] > payload["zeta"]
+
+    @pytest.mark.parametrize("beta", ["-1", "0"])
+    def test_nonpositive_beta_is_config_error_before_any_filter_step(self, monkeypatch, capsys, beta):
+        # No ball of radius <= 0 is ever certified: a configuration error,
+        # raised before the KF trajectory runs (its data are never drawn).
+        monkeypatch.setattr(robustkf.cli, "generate_run_data", None)
+        assert run_cli(["diagnose", "--beta", beta]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --beta must be > 0")
+
+    def test_positive_beta_below_zeta_is_a_numerical_failure(self, capsys):
+        assert run_cli(["diagnose", "--example", "1", "--seed", "3", "--beta", "1e-12"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: beta=1e-12 must exceed zeta=")
 
     def test_snapshot_step_is_the_kf_prior_of_that_step(self, capsys):
         code = run_cli([

@@ -247,6 +247,10 @@ class TestPhi:
         reg = unit_scalar_regression(x_prior=1.0, y=1.0)
         assert phi_sigma(reg, 2.0, 1.0) == pytest.approx(brute_force_phi(reg, 2.0, 1.0), rel=1e-12)
 
+    def test_zero_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            phi_sigma(unit_scalar_regression(x_prior=1.0, y=1.0), 2.0, 0.0)
+
     def test_matches_brute_force_random(self, rng):
         for _ in range(20):
             reg = random_regression(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))

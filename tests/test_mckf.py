@@ -723,7 +723,7 @@ def test_whitened_update_is_within_the_extended_precision_solve(seed, dims, unfl
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_packed_predict_is_symmetric_reads_the_lower_triangle_and_rounds_like_kf_predict(n):
+def test_packed_predict_is_symmetric_reads_the_lower_triangle_and_rounds_like_the_textbook_predict(n):
     # A non-normal F (a random matrix plus a large superdiagonal) and priors of
     # every rank 0..n, so all but the last are singular, over six decades.
     rng = np.random.default_rng(600 + n)
@@ -740,12 +740,12 @@ def test_packed_predict_is_symmetric_reads_the_lower_triangle_and_rounds_like_kf
     np.testing.assert_array_equal(_predict(model, x, garbled)[1], p_pred)
     # First-order bounds with u = eps / 2 and M = |F| |P| |F'| + |Q|: the packed
     # form rounds each operator entry (2u) and its product (u), then N - 1 sums
-    # and + Q, N = n(n+1)/2, so it is within (N + 3) u M of F P F' + Q;
-    # kf_predict's two products, + Q and symmetrizing mean, within (2n + 2) u M.
-    # One more u M covers the second-order terms.
+    # and + Q, N = n(n+1)/2, so it is within (N + 3) u M of F P F' + Q; the
+    # textbook two products and + Q within (2n + 1) u M.  One more u M covers
+    # the second-order terms.
     u, big_n = np.finfo(float).eps / 2.0, n * (n + 1) // 2
     for i, cov in enumerate(p):
-        prior = kf_predict(model, GaussianBelief(x[i], cov))
+        textbook = f @ cov @ f.T + model.Q
         bound = (big_n + 2 * n + 6) * u * (np.abs(f) @ np.abs(cov) @ np.abs(f).T + np.abs(model.Q))
-        assert np.all(np.abs(p_pred[i] - prior.cov) <= bound)
-        assert np.all(np.abs(x_pred[i] - prior.mean) <= 2 * n * u * np.abs(f) @ np.abs(x[i]))
+        assert np.all(np.abs(p_pred[i] - textbook) <= bound)
+        assert np.all(np.abs(x_pred[i] - f @ x[i]) <= 2 * n * u * np.abs(f) @ np.abs(x[i]))

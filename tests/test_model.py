@@ -47,6 +47,10 @@ class TestValidateModel:
         with pytest.raises(NotSymmetric):
             StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]])
 
+    def test_process_noise_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            StateSpaceModel(F=np.eye(2), H=np.ones((1, 2)), Q=np.eye(3), R=[[1.0]])
+
     def test_nonsquare_transition_rejected(self):
         with pytest.raises(DimensionMismatch):
             StateSpaceModel(F=np.ones((2, 3)), H=np.ones((1, 3)), Q=np.eye(3), R=[[1.0]])
@@ -99,6 +103,10 @@ class TestGaussianBelief:
         with pytest.raises(DimensionMismatch):
             GaussianBelief([0.0, 0.0], np.eye(3))
 
+    def test_rejects_a_mean_that_is_not_a_vector(self):
+        with pytest.raises(DimensionMismatch):
+            GaussianBelief(np.zeros((2, 1)), np.eye(2))
+
     def test_later_writes_to_the_inputs_do_not_reach_it(self):
         mean, cov = np.zeros(2), np.eye(2)
         belief = GaussianBelief(mean, cov)
@@ -147,6 +155,20 @@ class TestMixtureNoiseSpec:
     def test_variances_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             MixtureNoiseSpec.iid(1, ((1.0, 0.0, -1.0),))
+
+    @pytest.mark.parametrize("components", [(), ((),)])
+    def test_needs_a_coordinate_with_a_component(self, components):
+        with pytest.raises(DimensionMismatch):
+            MixtureNoiseSpec(components)
+
+    def test_weights_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="negative weight"):
+            MixtureNoiseSpec.iid(1, ((-0.5, 0.0, 1.0), (1.5, 0.0, 1.0)))
+
+    def test_sequence_of_negative_length_rejected(self):
+        spec = MixtureNoiseSpec.gaussian(2, 1.0)
+        with pytest.raises(ValueError):
+            sample_mixture_sequence(spec, -1, RandomStream(1))
 
     def test_point_mass_is_exact(self):
         spec = MixtureNoiseSpec.iid(3, ((1.0, 0.0, 0.0),))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robustkf import (
+    DimensionMismatch,
     GaussianBelief,
     KernelConfig,
     NotPositiveDefinite,
@@ -121,6 +122,11 @@ class TestCholeskyLower:
         with pytest.raises(NotSymmetric):
             cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("a", [np.zeros((0, 0)), np.ones((2, 3))])
+    def test_empty_or_nonsquare_input_is_a_dimension_mismatch(self, a):
+        with pytest.raises(DimensionMismatch):
+            cholesky_lower(a)
+
 
 class TestSolveSpd:
     def test_identity_solve(self, rng):
@@ -141,6 +147,10 @@ class TestSolveSpd:
             n = int(rng.integers(1, 7))
             a = random_spd(rng, n)
             assert max_abs(a @ solve_spd(a, np.eye(n)) - np.eye(n)) <= 1e-8
+
+    def test_rhs_of_the_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            solve_spd(np.eye(2), np.ones(3))
 
     def test_propagates_not_positive_definite(self):
         for a in (np.diag([1.0, -2.0]), np.outer([1.0, 2.0], [1.0, 2.0])):

@@ -10,6 +10,14 @@ def test_same_seed_same_sequence():
     np.testing.assert_array_equal(a.normals(50), b.normals(50))
 
 
+def test_negative_count_rejected_and_repr_shows_the_draws():
+    stream = RandomStream(5)
+    with pytest.raises(ValueError):
+        stream.raw(-1)
+    stream.uniforms(3)
+    assert repr(stream) == "RandomStream(seed=5, drawn=3)"
+
+
 def test_uniforms_strictly_inside_unit_interval():
     u = RandomStream(7).uniforms(100_000)
     assert np.all(u > 0.0) and np.all(u < 1.0)

@@ -23,6 +23,7 @@ from robustkf import (
     fixed_point_iterate,
     generate_run_data,
     kf_predict,
+    kf_update,
     make_example1,
     make_example2,
     mckf_step,
@@ -448,6 +449,21 @@ ENGINE_CASES = {
 }
 
 
+#: Longer example runs, which the σ = inf invariant below also covers.
+LONG_EXAMPLES = {
+    "example1-impulsive-both": dict(noise_case="impulsive-both", runs=30, steps=200, master_seed=3),
+    "example2-impulsive-measurement": dict(example="example2", runs=30, steps=200, master_seed=3),
+}
+
+
+def infinite_bandwidth_filters(config):
+    """``config`` running the KF and an MCKF at ``sigma = inf`` with the ε and cap of
+    its last MCKF: its kernel weights are then all one."""
+    kernel = [f.kernel for f in config.filters if f.kind == "mckf"][-1]
+    inf = KernelConfig(math.inf, kernel.epsilon, kernel.max_iterations)
+    return replace(config, filters=(FilterSpec("kf"), FilterSpec("mckf", inf)))
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_matches_reference_engine(self, case):
@@ -538,6 +554,34 @@ class TestBatchedEngine:
                 )
             np.testing.assert_array_equal(est - data.truths, result.errors[fi, run])
             np.testing.assert_array_equal(iters, result.iterations[fi, run])
+
+    @pytest.mark.parametrize("case", [*ENGINE_CASES, *LONG_EXAMPLES])
+    def test_infinite_bandwidth_mckf_is_the_kf_bit_for_bit(self, case):
+        # One arithmetic serves both filters: at unit weights the MCKF's
+        # update is the KF's, though the KF steps one shared covariance.
+        config = small_config(**{**ENGINE_CASES, **LONG_EXAMPLES}[case])
+        result = run_monte_carlo(infinite_bandwidth_filters(config), collect_covariances=True)
+        for field in ("errors", "covariances"):
+            kf, mckf = getattr(result, field)
+            np.testing.assert_array_equal(mckf, kf, err_msg=field)
+
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_kf_cycle_is_the_engine_step(self, case):
+        # Bit for bit: kf_update after kf_predict is the batched KF's row and
+        # mckf_step at sigma = inf, as mckf_step is the MCKF's row.
+        config = infinite_bandwidth_filters(small_config(**ENGINE_CASES[case]))
+        kernel, fmodel = config.filters[1].kernel, config.filter_model()
+        result = run_monte_carlo(config, collect_covariances=True)
+        for run in range(3):
+            data = generate_run_data(config, run)
+            kf = mckf = GaussianBelief(data.x0_hat, config.p0_scale * np.eye(fmodel.n))
+            for k, y in enumerate(data.measurements):
+                kf = kf_update(fmodel, kf_predict(fmodel, kf), y)[0]
+                mckf = mckf_step(fmodel, mckf, y, kernel)[0]
+                np.testing.assert_array_equal(kf.mean - data.truths[k], result.errors[0, run, k])
+                np.testing.assert_array_equal(kf.cov, result.covariances[0, run, k])
+                np.testing.assert_array_equal(mckf.mean, kf.mean)
+                np.testing.assert_array_equal(mckf.cov, kf.cov)
 
     @pytest.mark.parametrize("case", ENGINE_CASES)
     def test_step_writes_into_none_of_its_inputs(self, case):
