@@ -184,12 +184,16 @@ def _checked_call(fn, *args):
 
 
 def _check_failures(result) -> int:
-    """Report per-run failures; exit code 2 only when a filter lost every run."""
+    """Report per-run failures; exit code 2 only when a filter has no finite MSE:
+    it lost every run, or its squared errors overflow."""
     status = 0
     for fi, spec in enumerate(result.config.filters):
         nfail = int(result.failed_runs[fi].sum())
         if nfail == result.config.runs:
             print(f"error: every run of {spec.label} failed numerically", file=sys.stderr)
+            status = 2
+        elif not np.isfinite(result.mse[fi]).all():
+            print(f"error: the squared errors of {spec.label} overflow", file=sys.stderr)
             status = 2
         elif nfail:
             print(f"warning: {nfail} runs of {spec.label} failed and were excluded", file=sys.stderr)

@@ -55,7 +55,7 @@ from .errors import (
     SingularDesign,
 )
 from .model import GaussianBelief, StateSpaceModel
-from .numerics import cholesky_stack, require_finite, solve_spd
+from .numerics import cholesky_stack, einsum, require_finite, solve_spd
 
 #: Lower clamp on kernel weights (`kernel_weights`) before they are inverted.
 #: The Gaussian kernel underflows to zero for huge residuals; the floor keeps
@@ -248,8 +248,8 @@ def _relative_steps(x_new, x_old):
     """Each row's ``||x_new - x_old|| / ||x_old||`` (absolute below `_STEP_NORM_GUARD`),
     the stop rule of every fixed-point form."""
     d = x_new - x_old
-    den = np.sqrt(np.einsum("...i,...i->...", x_old, x_old))
-    return np.sqrt(np.einsum("...i,...i->...", d, d)) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
+    den = np.sqrt(einsum("...i,...i->...", x_old, x_old))
+    return np.sqrt(einsum("...i,...i->...", d, d)) / np.where(den < _STEP_NORM_GUARD, 1.0, den)
 
 
 def _iterate(x_prev: np.ndarray, config: KernelConfig, update):
@@ -357,7 +357,7 @@ def _whitened_update(a_w, w_inv):
     w_x, w_y = w_inv[:, :n], w_inv[:, n:]
     a = a_w[:, 0]
     g = w_x * a
-    alpha = np.einsum("ri,ri->r", a, g) + w_y[:, 0]
+    alpha = einsum("ri,ri->r", a, g) + w_y[:, 0]
     k = g / alpha[:, None]
     k_u = k[..., None]
     if m > 1:
@@ -367,10 +367,10 @@ def _whitened_update(a_w, w_inv):
         gamma = 1.0 / (1.0 + np.sqrt(w_y[:, i - 1] / alpha))
         b_u -= (gamma[:, None] * k)[..., None] * f[:, None]
         a = a_w[:, i]
-        f = np.einsum("rji,rj->ri", b_u, a)
-        alpha = np.einsum("ri,ri->r", f, f) + w_y[:, i]
-        k = np.einsum("rij,rj->ri", b_u, f) / alpha[:, None]
-        k_u = np.dstack([k_u - k[..., None] * np.einsum("rj,rjl->rl", a, k_u)[:, None], k])
+        f = einsum("rji,rj->ri", b_u, a)
+        alpha = einsum("ri,ri->r", f, f) + w_y[:, i]
+        k = einsum("rij,rj->ri", b_u, f) / alpha[:, None]
+        k_u = np.dstack([k_u - k[..., None] * einsum("rj,rjl->rl", a, k_u)[:, None], k])
     return k_u
 
 
@@ -396,9 +396,9 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w):
     for t in range(1, kernel.max_iterations + 1):
         c = kernel_weights(e, kernel.sigma)
         k = _whitened_update(a_w, 1.0 / c)
-        u = np.einsum("rij,rj->ri", k, nu_w)
-        e = np.concatenate([u, nu_w - np.einsum("rij,rj->ri", a_w, u)], axis=1)
-        x_new = x_pred + np.einsum("rij,rj->ri", b_p, u)
+        u = einsum("rij,rj->ri", k, nu_w)
+        e = np.concatenate([u, nu_w - einsum("rij,rj->ri", a_w, u)], axis=1)
+        x_new = x_pred + einsum("rij,rj->ri", b_p, u)
         rel = _relative_steps(x_new, x_old)
         going = rel > kernel.epsilon
         n_going = np.count_nonzero(going)
@@ -419,7 +419,7 @@ def _fixed_point(kernel, a_w, b_p, x_pred, nu_w):
 
 def _einsum_matmul(a, b):
     """``a @ b`` of each run by ``einsum``, which makes no BLAS call per run (see `_filter_update`)."""
-    return np.einsum("...ij,...jk->...ik", a, b)
+    return einsum("...ij,...jk->...ik", a, b)
 
 
 def _filter_update(model, kernel, x_pred, p_pred, y):
@@ -445,19 +445,19 @@ def _filter_update(model, kernel, x_pred, p_pred, y):
     run's numbers depend on the stack.  Mat-vecs use ``einsum``, and so do
     ``A_w`` and ``K_r`` when m = 1, where each run's is one row or one
     column: stacked ``@`` makes a BLAS call per run.  With m >= 2 they stay
-    stacked ``@``, 3-11x faster there from 100 runs (n <= 6).  The rule reads
+    stacked ``@``, 2.5-11x faster there from 100 runs (n <= 6).  The rule reads
     m alone, so at unit weights the MCKF is the KF bit for bit.  µs per
-    product (``@`` against ``einsum``; one Xeon vCPU, one BLAS thread):
+    product (``@`` against `einsum`; one Xeon vCPU, one BLAS thread):
 
     =========  ==========  ==========  ===========
     n, m       1 run       100 runs    4000 runs
     =========  ==========  ==========  ===========
     ``A_w``
-    2, 1       0.9 / 2.0   4.4 / 3.2   129 / 47
-    3, 2       0.9 / 2.1   4.1 / 13.5  119 / 460
+    2, 1       0.9 / 1.1   4.4 / 2.3   128 / 48
+    3, 2       0.9 / 1.1   3.9 / 11.8  109 / 404
     ``K_r``
-    2, 1       0.9 / 2.0   4.5 / 3.2   139 / 46
-    3, 2       1.0 / 2.1   4.5 / 18.7  140 / 683
+    2, 1       1.1 / 1.3   4.5 / 2.3   134 / 44
+    3, 2       0.9 / 1.2   4.4 / 16.5  130 / 595
     =========  ==========  ==========  ===========
 
     Returns ``(x, P, report, K_r)``: ``report`` is `_fixed_point`'s, or
@@ -465,16 +465,16 @@ def _filter_update(model, kernel, x_pred, p_pred, y):
     """
     (runs, n), m = p_pred.shape[:2], model.m
     matmul = np.matmul if m > 1 else _einsum_matmul
-    innovation = y - np.einsum("ij,rj->ri", model.H, x_pred)
+    innovation = y - einsum("ij,rj->ri", model.H, x_pred)
     b_p = cholesky_stack(p_pred)
     a_w = matmul(model.H_w, b_p)
-    nu_w = np.einsum("ij,rj->ri", model.B_r_inv, innovation)
+    nu_w = einsum("ij,rj->ri", model.B_r_inv, innovation)
     if kernel is None:
         k_u, report = _whitened_update(a_w, np.ones((runs, n + m))), None
     else:
         k_u, report = _fixed_point(kernel, a_w, b_p, x_pred, nu_w)
     k_r = matmul(b_p, k_u)
-    x = x_pred + np.einsum("...ij,...j->...i", k_r, nu_w)
+    x = x_pred + einsum("...ij,...j->...i", k_r, nu_w)
     g = np.concatenate([b_p - k_r @ a_w, k_r], axis=2)
     return x, g @ np.ascontiguousarray(_mT(g)), report, k_r
 
@@ -489,13 +489,14 @@ def _predict(model, x, p):
     The gathered triangle is copied row-major: ``einsum`` sums a row in an
     order set by its strides, and the gather's strides change with the runs.
     The operator's (n(n+1)/2)^2 multiply-adds per run (2n^3 for two products
-    and a symmetrize pass) take 128 against 328 µs at 4000 runs and n = 2,
-    471 against 584 at n = 3, but 2349 against 1673 at n = 6, 8230 against
-    4367 at n = 10, and 1-2 µs more at one run (one Xeon vCPU, one BLAS thread).
+    and a symmetrize pass) take 107 against 298 µs at 4000 runs and n = 2,
+    455 against 543 at n = 3, but 1991 against 1532 at n = 6, 7200 against
+    4073 at n = 10; at one run, 4.3-4.5 µs, as fast as the two products, up
+    to n = 6, but 1 µs slower at n = 10 (one Xeon vCPU, one BLAS thread).
     """
     tril = np.ascontiguousarray(p.reshape(len(p), -1)[:, model.pack_index])
-    p_pred = np.einsum("ij,rj->ri", model.F_sym, tril)[:, model.unpack_index] + model.Q
-    return np.einsum("ij,rj->ri", model.F, x), p_pred
+    p_pred = einsum("ij,rj->ri", model.F_sym, tril)[:, model.unpack_index] + model.Q
+    return einsum("ij,rj->ri", model.F, x), p_pred
 
 
 def _filter_step(model, kernel, x, p, y):

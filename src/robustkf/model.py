@@ -42,7 +42,8 @@ class StateSpaceModel:
     DimensionMismatch
         F not square, or H/Q/R shapes inconsistent with (n, m).
     NonFinite
-        Any of F, H, Q, R has NaN/Inf entries.
+        Any of F, H, Q, R has NaN/Inf entries, or finite ones overflow the
+        symmetrized ``Q`` or ``R``, ``F_sym`` or ``H_w``.
     NotSymmetric
         Q or R not symmetric within tolerance.
     NotPositiveDefinite
@@ -90,9 +91,13 @@ class StateSpaceModel:
         unpack = np.empty((n, n), dtype=np.intp)
         unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
         i, k, j, l = rows[:, None], cols[:, None], rows, cols
-        f_sym = (F[i, j] * F[k, l] + F[i, l] * F[k, j]) * np.where(j == l, 0.5, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NonFinite below
+            f_sym = (F[i, j] * F[k, l] + F[i, l] * F[k, j]) * np.where(j == l, 0.5, 1.0)
+            h_w = b_r_inv @ H
+        for name, arr in (("F_sym", f_sym), ("H_w", h_w)):
+            require_finite(arr, f"StateSpaceModel.{name}")
         derived = dict(
-            Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, H_w=b_r_inv @ H,
+            Q=Q, R=R, B_r=b_r, B_r_inv=b_r_inv, H_w=h_w,
             F_sym=f_sym, pack_index=j * n + l, unpack_index=unpack,
         )
         for name, arr in derived.items():
@@ -131,8 +136,7 @@ class GaussianBelief:
             raise DimensionMismatch(
                 f"GaussianBelief.cov shape {cov.shape} does not match state dim {mean.size}"
             )
-        # The symmetrized copy overflows where an entry nears the float maximum.
-        cov = require_finite(require_symmetric(cov, "GaussianBelief.cov"), "GaussianBelief.cov")
+        cov = require_symmetric(cov, "GaussianBelief.cov")
         _require_psd(cov, "GaussianBelief.cov")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

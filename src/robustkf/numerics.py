@@ -11,6 +11,8 @@ and `PSD_RTOL` alone says what is semidefinite.  No matrix is perturbed.
 
 NumPy is the only numerical dependency: factorizations and solves are
 ``numpy.linalg`` calls, and the filters' update divides only by scalars >= 1.
+The filters' products call `einsum`, NumPy's C einsum bound once, which
+``numpy.einsum`` calls with the same operands, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotPositiveDefinite, NotSymmetric
+
+#: ``numpy.einsum`` without ``optimize`` (its default, the only mode used here)
+#: is an ``__array_function__`` dispatcher and a Python function that returns
+#: ``c_einsum(*operands)``; calling it directly saves those layers, about 0.8 µs
+#: of a small product's few µs (one Xeon vCPU).  ``numpy._core`` is numpy >= 2.0.
+einsum = np._core.multiarray.c_einsum
 
 #: Relative tolerance for symmetry checks.
 SYMMETRY_RTOL = 1e-10
@@ -47,14 +55,16 @@ def require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     """Check symmetry of a square matrix and return its symmetrized copy.
 
     The check is relative: ``max|A - A.T| <= SYMMETRY_RTOL * max(1, max|A|)``.
+    A copy that overflows, from entries near the float maximum, raises `NonFinite`.
     """
     a = require_finite(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name}: expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"{name}: matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore"):
+        if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+            raise NotSymmetric(f"{name}: matrix is not symmetric within tolerance")
+        return require_finite((a + a.T) / 2.0, f"{name} (symmetrized)")
 
 
 def cholesky_stack(a: np.ndarray) -> np.ndarray:

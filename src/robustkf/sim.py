@@ -59,7 +59,7 @@ from .model import (
     mixture_moments,
     sample_mixture_sequence,
 )
-from .numerics import cholesky_stack, solve_spd
+from .numerics import cholesky_stack, einsum, solve_spd
 from .rng import RandomStream, substream_seed
 
 NOISE_CASES = ("gaussian", "impulsive-measurement", "impulsive-both", "none")
@@ -319,9 +319,9 @@ def _generate(config: ExperimentConfig, model: StateSpaceModel, runs):
     role's draw within `GENERATION_CHUNK_UNIFORMS` uniforms.  The process
     and measurement noise are written into the truth and measurement arrays
     and turned into them in place.  ``F`` and ``H`` are applied with
-    `numpy.einsum`, whose rows do not depend on how many runs are stacked
-    (BLAS ``@`` rows do), so a run's data is a function of the seed and the
-    run index only.
+    `robustkf.numerics.einsum`, whose rows do not depend on how many runs
+    are stacked (BLAS ``@`` rows do), so a run's data is a function of the
+    seed and the run index only.
     """
     q_spec, r_spec = noise_specs(config.noise_case, model.n, model.m)
     x0 = config.resolve_x0()
@@ -339,9 +339,9 @@ def _generate(config: ExperimentConfig, model: StateSpaceModel, runs):
         ys[rows] = sample_mixture_sequence(r_spec, config.steps, meas)
     x = np.broadcast_to(x0, x0_hats.shape)
     for k in range(config.steps):
-        x = np.einsum("ij,rj->ri", model.F, x) + truths[:, k]
+        x = einsum("ij,rj->ri", model.F, x) + truths[:, k]
         truths[:, k] = x
-    ys += np.einsum("ij,rkj->rki", model.H, truths)
+    ys += einsum("ij,rkj->rki", model.H, truths)
     return x0_hats, truths, ys
 
 
@@ -357,7 +357,8 @@ class ExperimentResult:
 
     ``errors`` holds estimate-minus-truth per (filter, run, step, state);
     failed runs are NaN there and excluded from the aggregates.  ``mse`` is
-    the per-state mean of squared errors over all surviving runs and steps.
+    the per-state mean of squared errors over all surviving runs and steps
+    (inf where they overflow, see `run_monte_carlo`).
     ``iterations`` and ``nonconverged`` track the fixed-point solve (zero
     for the baseline filter and for failed runs); ``avg_iterations`` is NaN
     for the baseline.
@@ -427,7 +428,10 @@ def run_monte_carlo(
     per step, and is the only writer of the results: estimates, covariances
     and, from the per-run `FixedPointReport` (``None`` for the KF), iteration
     counts and cap hits.  A run fails when its estimate is not finite; its
-    errors and covariances are then NaN and its iteration counts zero.
+    errors and covariances are then NaN and its iteration counts zero.  A
+    filter's ``mse`` is NaN when all its runs failed, and inf, with no
+    warning, when squares of finite errors overflow (errors above ~1.3e154):
+    the CLI reports either as a numerical failure (exit 2).
     The batched KF steps one ``(1, n, n)`` covariance, the same for every
     run (see the module docstring), and its gain broadcasts over the runs.
 
@@ -485,7 +489,8 @@ def run_monte_carlo(
         if not ok.any():
             mse[fi] = np.nan
             continue
-        mse[fi] = np.mean(errors[fi, ok] ** 2, axis=(0, 1))
+        with np.errstate(over="ignore"):
+            mse[fi] = np.mean(errors[fi, ok] ** 2, axis=(0, 1))
         if spec.kind == "mckf":
             avg_iterations[fi] = float(np.mean(iterations[fi, ok]))
     return ExperimentResult(

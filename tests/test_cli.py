@@ -1,20 +1,30 @@
+import copy
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import robustkf.cli
 from robustkf import (
+    ConfigParseError,
     ExperimentConfig,
     FilterSpec,
     GaussianBelief,
     KernelConfig,
     NonFinite,
+    RobustKFError,
     StateSpaceModel,
     build_regression,
     generate_run_data,
     kf_predict,
     kf_update,
+    run_monte_carlo,
     sufficient_sigma,
     zeta,
 )
@@ -208,6 +218,76 @@ def test_non_finite_input_stays_a_numerical_failure(monkeypatch, capsys):
     monkeypatch.setattr("robustkf.cli.flop_counts", raise_non_finite)
     assert run_cli(["flops", "--n", "2", "--m", "1", "--t", "2"]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+#: The config dicts the exit-status test mutates: example 1 and a custom
+#: 2-state model with both filters, at 2 runs x 3 steps (a few kB of arrays).
+_CONTRACT_BASES = (
+    {"runs": 2, "steps": 3, "true_x0": [0.0, 0.0], "init_perturb_var": 0.01, "p0_scale": 0.01,
+     "filters": [{"kind": "kf"}]},
+    {"example": "custom", "noise_case": "impulsive-both", "runs": 2, "steps": 3,
+     "custom_model": {"F": [[1.0, 0.1], [0.0, 1.0]], "H": [[1.0, 0.0]],
+                      "Q": [[0.01, 0.0], [0.0, 0.01]], "R": [[0.01]]},
+     "true_x0": [0.0, 1.0], "init_perturb_var": 0.01, "p0_scale": 0.01,
+     "filters": [{"kind": "kf"}, {"kind": "mckf", "sigma": 2.0, "epsilon": 1e-6}]},
+)
+#: Values at the edges of the float range, where products, sums and squares overflow.
+_CONTRACT_VALUES = (
+    0.0, -1.0, 0.5, 3.0, 5e-324, 1e-300, 1e154, 2e154, -2e154, 1e200, 1e307, 1e308,
+    1.5e308, -1.5e308, math.inf, math.nan,
+)
+
+
+def _number_paths(tree, path=()):
+    """Paths of the numbers in a nested config dict."""
+    if isinstance(tree, (dict, list)):
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        return [p for key, value in items for p in _number_paths(value, path + (key,))]
+    return [path] if isinstance(tree, (int, float)) else []
+
+
+@st.composite
+def _mutated_configs(draw):
+    base = draw(st.sampled_from(_CONTRACT_BASES))
+    data = copy.deepcopy(base)
+    for path in draw(st.lists(st.sampled_from(_number_paths(base)), min_size=1, max_size=3)):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(_CONTRACT_VALUES))
+    return data
+
+
+_CUSTOM_2X1 = {"example": "custom", "true_x0": [0.0, 0.0], "runs": 2, "steps": 3}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=_mutated_configs())
+@example(data={**_CUSTOM_2X1, "custom_model": {
+    "F": [[2e154, 0.0], [0.0, 1.0]], "H": [[1.0, 1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]]}})
+@example(data={**_CUSTOM_2X1, "custom_model": {
+    "F": [[1.0, 0.0], [0.0, 1.0]], "H": [[1.0, 1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.5e308]]}})
+@example(data={**_CUSTOM_2X1, "custom_model": {
+    "F": [[1.0, 0.0], [0.0, 1.0]], "H": [[1e308, 1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[0.01]]}})
+@example(data={"runs": 2, "steps": 3, "init_perturb_var": 1e308})
+def test_exit_status_follows_the_contract(data):
+    # Exit 1 exactly when the config is rejected, 2 when the experiment
+    # raises or leaves a filter without a finite MSE, else 0; never a
+    # traceback or a floating-point warning.
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            config = ExperimentConfig.from_dict(data)
+        except ConfigParseError:
+            expected = 1
+        else:
+            try:
+                expected = 0 if np.isfinite(run_monte_carlo(config).mse).all() else 2
+            except RobustKFError:
+                expected = 2
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["bench", "--config", str(path), "--out", out]) == expected
 
 
 class TestBench:

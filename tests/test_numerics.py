@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import robustkf
 
 from robustkf import (
     DimensionMismatch,
@@ -14,7 +19,7 @@ from robustkf import (
     min_eigenvalue_symmetric,
     solve_spd,
 )
-from robustkf.numerics import PSD_RTOL, cholesky_stack
+from robustkf.numerics import PSD_RTOL, cholesky_stack, einsum
 from conftest import induced_l1_norm, random_spd
 
 
@@ -208,3 +213,35 @@ class TestInducedL1Norm:
             a = rng.standard_normal((n, k))
             b = rng.standard_normal((k, m))
             assert induced_l1_norm(a @ b) <= induced_l1_norm(a) * induced_l1_norm(b) + 1e-12
+
+
+SRC = Path(robustkf.__file__).parent
+#: The subscripts of every ``einsum(...)`` call in the package.
+EINSUM_SUBSCRIPTS = sorted({
+    m for path in SRC.glob("*.py") for m in re.findall(r'einsum\("([^"]+)"', path.read_text())
+})
+
+
+class TestEinsum:
+    @pytest.mark.parametrize("rows", [1, 100, 4000])
+    @pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)
+    def test_equals_numpy_einsum_bit_for_bit(self, subscripts, rows):
+        # ``r`` and ``...`` are the runs axis; other letters get distinct small
+        # sizes.  The runs of the first operand are every other row of a
+        # wider array, a strided view like the loops' slices.
+        rng = np.random.default_rng(rows)
+        sizes = {"r": rows, ".": rows, "i": 3, "j": 4, "k": 5, "l": 2}
+        operands = []
+        for spec in subscripts.split("->")[0].split(","):
+            shape = [sizes[c] for c in spec.replace("...", ".")]
+            operands.append(rng.standard_normal(shape))
+        if subscripts[0] in "r.":
+            operands[0] = np.repeat(operands[0], 2, axis=0)[::2]
+        ours, theirs = einsum(subscripts, *operands), np.einsum(subscripts, *operands)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_the_package_calls_no_numpy_einsum(self):
+        assert "ij,rj->ri" in EINSUM_SUBSCRIPTS  # the parametrization above is not empty
+        calls = [p.name for p in SRC.glob("*.py") if re.search(r"\b(np|numpy)\.einsum\(", p.read_text())]
+        assert calls == []
